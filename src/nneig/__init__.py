@@ -52,6 +52,7 @@ from .solvers import (
     EigenReport,
     PSIState,
     SolverError,
+    krylov_reference,
     power_reference,
     psi_solve,
     residual,
@@ -101,6 +102,7 @@ __all__ = [
     "generate_block_grid",
     "generate_random_grid",
     "grid_points",
+    "krylov_reference",
     "load_operator",
     "min_norm_direction",
     "negcount",

@@ -21,7 +21,8 @@ from .markovgrid import (BlockGridSpec, RandomGridSpec, demo_clustered_walk,
                          generate_random_grid, validate_grid)
 from .operators import (HadamardGrowthOperator, MarkovGridOperator,
                         SeparableGrowthOperator, load_operator, save_operator)
-from .solvers import SolverError, power_reference, psi_solve, rneg_solve
+from .solvers import (SolverError, krylov_reference, power_reference,
+                      psi_solve, rneg_solve)
 from .lowrank import nmf, truncated_svd
 
 import numpy as np
@@ -148,7 +149,7 @@ def _solve(args) -> int:
                               max_iters=iters or 500_000,
                               keep_history=args.verbose)
     elif args.method in ("power+svd", "power+nmf"):
-        ref = power_reference(op, tol=args.tol, max_iters=iters or 500_000)
+        ref = krylov_reference(op, tol=args.tol, max_iters=iters or 500_000)
         if args.method == "power+svd":
             X = truncated_svd(ref.X, args.rank).reconstruct()
         else:

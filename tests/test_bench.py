@@ -25,7 +25,8 @@ from nneig.bench import (
     run_experiment,
 )
 from nneig.markovgrid import demo_path_walk
-from nneig.solvers import power_reference
+from nneig.operators import load_operator
+from nneig.solvers import krylov_reference, power_reference
 
 
 def run_cli(*args, cwd=None):
@@ -218,6 +219,25 @@ class TestCLI:
         payload = json.loads(rep.read_text())
         assert payload["eigenvalue"] == pytest.approx(1.0, abs=1e-6)
         assert payload["converged"]
+
+    @pytest.mark.parametrize("method,reference", [
+        ("power", power_reference),
+        ("power+svd", krylov_reference),
+        ("power+nmf", krylov_reference),
+    ])
+    def test_solve_reference_solver(self, tmp_path, method, reference):
+        # --method power is the power iteration; the two post-processing
+        # baselines factor the Krylov reference, as the bench does
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "hadamard-growth", "--n", "9",
+                "--out", str(path))
+        rep = tmp_path / "report.json"
+        out = run_cli("solve", str(path), "--method", method, "--rank", "2",
+                      "--out", str(rep))
+        assert out.returncode == 0
+        payload = json.loads(rep.read_text())
+        want = reference(load_operator(path), tol=1e-8)
+        assert payload["iterations"] == want.iterations
 
     def test_solve_rneg_reports_nonnegative(self, tmp_path):
         path = tmp_path / "op.json"

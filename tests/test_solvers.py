@@ -1,4 +1,5 @@
-"""Tests for the power reference and the two factored ODE solvers.
+"""Tests for the power and Krylov references and the two factored ODE
+solvers.
 
 Growth-operator eigenvalues are checked against a dense eigendecomposition
 of the explicitly assembled operator matrix, built column by column from
@@ -11,11 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nneig.lowrank import best_scaled_error
-from nneig.markovgrid import demo_clustered_walk, demo_path_walk
+from nneig.markovgrid import (
+    RandomGridSpec,
+    demo_clustered_walk,
+    demo_path_walk,
+    generate_random_grid,
+)
 from nneig.matcore import FactorPair
-from nneig.operators import MarkovGridOperator, SeparableGrowthOperator
+from nneig.operators import (
+    HadamardGrowthOperator,
+    MarkovGridOperator,
+    SeparableGrowthOperator,
+)
 from nneig.solvers import (
     PSIState,
+    krylov_reference,
     power_reference,
     psi_solve,
     residual,
@@ -112,6 +123,78 @@ class TestPowerReference:
         rep = power_reference(demo_clustered_walk(), tol=1e-12, max_iters=3)
         assert not rep.converged
         assert rep.iterations == 3
+
+
+class TestKrylovReference:
+    @pytest.mark.parametrize("make", [
+        demo_path_walk,  # periodic: eigenvalue -1 sits opposite 1, undamped
+        demo_clustered_walk,
+        lambda: generate_random_grid(RandomGridSpec(n=7, seed=3)),
+        lambda: SeparableGrowthOperator.standard(9),
+        lambda: HadamardGrowthOperator.standard(9),
+    ], ids=["path-walk", "clustered-walk", "random-grid-7", "separable-9",
+            "hadamard-9"])
+    def test_matches_power_and_dense_eig(self, make):
+        op = make()
+        rep = krylov_reference(op, tol=1e-11)
+        assert rep.converged
+        assert rep.residual <= 1e-11
+        assert rep.residual == pytest.approx(
+            residual(op, rep.X, rep.eigenvalue), abs=1e-14)
+        assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-12)
+        assert rep.X.sum() > 0
+        power = power_reference(op, tol=1e-11)
+        assert rep.eigenvalue == pytest.approx(power.eigenvalue, abs=1e-10)
+        np.testing.assert_allclose(rep.X, power.X, atol=1e-9)
+        lam, X = dense_rightmost(op)
+        assert rep.eigenvalue == pytest.approx(lam, abs=1e-9)
+        np.testing.assert_allclose(rep.X, X, atol=1e-7)
+
+    def test_fewer_applications_than_power(self):
+        op = HadamardGrowthOperator.standard(9)
+        rep = krylov_reference(op, tol=1e-11)
+        assert rep.iterations < power_reference(op, tol=1e-11).iterations
+
+    def test_budget_exhaustion_reported(self):
+        op = SeparableGrowthOperator.standard(9)
+        rep = krylov_reference(op, tol=1e-14, max_iters=7)
+        assert not rep.converged
+        assert rep.iterations <= 7
+        assert rep.residual == pytest.approx(
+            residual(op, rep.X, rep.eigenvalue), abs=1e-14)
+
+    def test_basis_capped_by_matrix_size(self):
+        # m * n = 9 is below KRYLOV_BASIS = 10: the first cycle spans the
+        # whole space, so one cycle and one check suffice
+        rep = krylov_reference(demo_path_walk(), tol=1e-12)
+        assert rep.details["basis"] == 9
+        assert rep.converged
+        assert rep.details["restarts"] == 1
+        np.testing.assert_allclose(rep.X, path_stationary(), atol=1e-12)
+
+    def test_breakdown_on_rank_one_shared_pair_grid(self):
+        # rank-one transition matrices confine the Krylov space of the
+        # uniform start to span{11^T, mu 1^T, 1 nu^T, mu nu^T}
+        rng = np.random.default_rng(2)
+        mu = rng.random(6)
+        nu = rng.random(6)
+        mu /= mu.sum()
+        nu /= nu.sum()
+        A = np.outer(np.ones(6), mu)
+        B = np.outer(np.ones(6), nu)
+        eye = np.eye(6)
+        op = MarkovGridOperator([(0.2, A, eye), (0.3, eye, B), (0.5, A, B)])
+        rep = krylov_reference(op, tol=1e-12)
+        assert rep.details["breakdown"]
+        assert rep.converged
+        assert rep.iterations <= 5
+        assert rep.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        X = np.outer(mu, nu)
+        np.testing.assert_allclose(rep.X, X / np.linalg.norm(X), atol=1e-12)
+
+    def test_budget_validation(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            krylov_reference(demo_path_walk(), max_iters=0)
 
 
 class TestRNeg:
