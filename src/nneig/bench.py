@@ -103,6 +103,10 @@ class ExperimentConfig:
     power_tol: float = 1e-11
     power_iters: int = 500_000
     power_damping: float = 0.5
+    # rneg_h0 is the initial step of the sign-constrained flow (None = the
+    # operator default); the step then grows under a ceiling learned from
+    # rejected trials.  rneg_tol is its stationarity tolerance: the run
+    # stops once an unclamped step moves the factors by <= tol * h / h0.
     rneg_h0: float | None = None
     rneg_tol: float = 1e-8
     rneg_nmax: int = 50_000

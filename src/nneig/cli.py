@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--max-iters", type=int, default=None)
     s.add_argument("--h0", type=float, default=None,
-                   help="step size for rneg/psi (default: operator family)")
+                   help="initial step for rneg, fixed step for psi "
+                        "(default: operator family)")
     s.add_argument("--out", default=None, help="report JSON path")
     s.add_argument("--verbose", action="store_true",
                    help="include per-iteration history in the report")

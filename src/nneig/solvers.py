@@ -9,6 +9,7 @@ their seeds (PCG64 generators throughout).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -283,9 +284,9 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
 def _factored_gradients(op: LinearMatrixOperator, U: np.ndarray, V: np.ndarray):
     """Evaluate the constrained flow data at nonnegative factors (U, V).
 
-    Returns the Rayleigh value, the raw factor gradients of the flow
-    ``A(X) - rho X`` pushed onto each factor, their feasible projections at
-    the current sign pattern, and the projection norms.
+    Returns the Rayleigh value, the feasible projections at the current
+    sign pattern of the flow ``A(X) - rho X`` pushed onto each factor, and
+    the joint norm ``hypot(||PU||, ||PV||)`` of the two projections.
     """
     F = op.apply_factored(U, V)
     FtU = F.T @ U
@@ -295,9 +296,7 @@ def _factored_gradients(op: LinearMatrixOperator, U: np.ndarray, V: np.ndarray):
     GV = FtU - lam * (V @ (U.T @ U))
     PU = project_feasible_direction(U, GU)
     PV = project_feasible_direction(V, GV)
-    nU = float(np.linalg.norm(PU))
-    nV = float(np.linalg.norm(PV))
-    return lam, PU, PV, nU, nV
+    return lam, PU, PV, math.hypot(np.linalg.norm(PU), np.linalg.norm(PV))
 
 
 def _crossing_ratios(U: np.ndarray, PU: np.ndarray) -> np.ndarray:
@@ -340,31 +339,43 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     renormalizes; zero entries of a factor can therefore only re-activate
     through a positive gradient.  The step is capped by the largest
     admissible value that keeps currently-positive entries nonnegative,
-    and adapted by backtracking: a trial step is accepted only when both
-    projected-gradient norms do not exceed the acceptance baseline, else
-    the step is retaken from the same factors with ``h * beta_rej``.  On
-    acceptance the step grows by ``beta_acc`` up to the initial ``h0``.
+    and adapted by backtracking: a trial step is accepted only when the
+    joint norm ``hypot(||PU||, ||PV||)`` of the projected gradients does
+    not exceed the acceptance baseline, else the step is retaken from the
+    same factors with ``h * beta_rej``.  The norm is joint, not per
+    factor: once one factor has aligned, its gradient sits at roundoff,
+    and a per-factor test would reject every step on that noise alone.
 
-    Parameters largely follow the operator family: ``h0=None`` resolves to
-    the operator's default step.  ``accept_mode`` selects the backtracking
-    baseline: ``"prev_accepted"`` compares against the norms recorded at
-    the previous accepted step, ``"pre_step"`` against the norms at the
+    ``h0`` is the initial step, not a cap (``h0=None`` resolves to the
+    operator's default step).  On acceptance the step grows by
+    ``beta_acc`` up to a ceiling learned from rejections: it starts at
+    infinity, and every rejected trial of size ``h_use`` lowers it to
+    ``h_use / beta_acc``.  The ceiling only falls, so the step settles
+    below the largest size the operator lets pass the acceptance test,
+    not at a family constant.  ``accept_mode`` selects the backtracking
+    baseline: ``"prev_accepted"`` compares against the norm recorded at
+    the previous accepted step, ``"pre_step"`` against the norm at the
     current factors.
 
     The projected-gradient norms are not monotone along the flow, so a
     norm-decreasing step size need not exist; insisting on one deadlocks
     the search wherever the trajectory climbs.  ``accept_slack`` gives the
-    test multiplicative headroom: a trial passes when neither norm grows
-    by more than that factor over the baseline.  The flow's own per-step
-    growth is ``1 + O(h)``, so some step size always passes, while the
-    compounding jumps of an unstable explicit step still get rejected.
-    ``max_rejects`` bounds the halvings per step as a final safety; the
-    smallest trial is then taken anyway.
+    test multiplicative headroom: a trial passes when the joint norm grows
+    by no more than that factor over the baseline.  The flow's own
+    per-step growth is ``1 + O(h)``, so some step size always passes,
+    while the compounding jumps of an unstable explicit step still get
+    rejected.  ``max_rejects`` bounds the halvings per step as a final
+    safety; the smallest trial is then taken anyway.
 
-    Termination: ``max(dU, dV) <= tol`` where ``dU``, ``dV`` are the
-    Frobenius changes of the normalized factors over the last accepted
-    unclamped step; ``nmax`` accepted steps at most.  A step size that
+    Termination is step-relative: ``max(dU, dV) <= tol * h_use / h0``,
+    where ``dU``, ``dV`` are the Frobenius changes of the normalized
+    factors over the last accepted unclamped step of size ``h_use``, i.e.
+    the gradient-norm threshold that ``tol`` sets at ``h = h0``, applied at
+    any step size.  ``nmax`` accepted steps at most.  A step size that
     underflows ``1e-16`` stops the run with ``converged=False``.
+    ``details`` carries ``stop`` (``"converged"``, ``"budget"`` or
+    ``"stalled"``), the count of ``rejected`` trials and the range
+    ``h_min``/``h_max`` of the accepted step sizes.
     """
     t0 = time.perf_counter()
     m, n = op.shape
@@ -378,9 +389,9 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         raise ValueError(f"unknown accept_mode {accept_mode!r}")
     if accept_slack < 1:
         raise ValueError("accept_slack must be at least 1")
-    h_cap = float(op.default_step() if h0 is None else h0)
-    if h_cap <= 0:
-        raise ValueError("h0 must be positive")
+    h_init = float(op.default_step() if h0 is None else h0)
+    if not (np.isfinite(h_init) and h_init > 0):
+        raise ValueError(f"h0 must be positive and finite, got {h_init}")
     rng = np.random.default_rng(seed)
     if init is None:
         U = rng.random((m, rank))
@@ -394,24 +405,26 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     if U is None:
         raise ValueError("initial factors have zero product")
 
-    lam, PU, PV, nU, nV = _factored_gradients(op, U, V)
-    base_U, base_V = np.inf, np.inf
-    h = h_cap
+    lam, PU, PV, g = _factored_gradients(op, U, V)
+    # the two baselines differ on the first step only: afterwards the
+    # previous accepted step is where the current step starts
+    base = np.inf if accept_mode == "prev_accepted" else g
+    h = h_init
+    h_ceil = np.inf
     h_floor = 1e-16
+    h_min, h_max = np.inf, 0.0
     history: list[HistoryEntry] = []
-    converged = False
-    stalled = False
+    stop = "budget"
     accepted_steps = 0
+    rejected = 0
 
     while accepted_steps < nmax:
-        if accept_mode == "pre_step":
-            base_U, base_V = nU, nV
         ratio_U = _crossing_ratios(U, PU)
         ratio_V = _crossing_ratios(V, PV)
         h_adm = float(min(ratio_U.min(), ratio_V.min()))
         # backtracking loop: retake the trial step from the same factors
-        # until both projected-gradient norms pass the acceptance test,
-        # or the rejection budget runs out
+        # until the joint projected-gradient norm passes the acceptance
+        # test, or the rejection budget runs out
         rejects = 0
         while True:
             h_use = min(h, h_adm)
@@ -423,28 +436,32 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             Ut[ratio_U <= h_use * (1.0 + 1e-12)] = 0.0
             Vt[ratio_V <= h_use * (1.0 + 1e-12)] = 0.0
             Ut, Vt = _normalized_product(Ut, Vt)
+            lam_t = np.nan
             if Ut is not None:
-                lam_t, PU_t, PV_t, nU_t, nV_t = _factored_gradients(op, Ut, Vt)
-                if ((nU_t <= accept_slack * base_U and
-                     nV_t <= accept_slack * base_V) or rejects >= max_rejects):
+                lam_t, PU_t, PV_t, g_t = _factored_gradients(op, Ut, Vt)
+                if g_t <= accept_slack * base or rejects >= max_rejects:
                     break
-                if keep_history:
-                    history.append(HistoryEntry(accepted_steps + 1, lam_t,
-                                                np.nan, h_use, accepted=False))
+            rejected += 1
+            if keep_history:
+                history.append(HistoryEntry(accepted_steps + 1, lam_t,
+                                            np.nan, h_use, accepted=False))
             rejects += 1
+            h_ceil = min(h_ceil, h_use / beta_acc)
             h *= beta_rej
             if h < h_floor:
-                stalled = True
+                stop = "stalled"
                 break
-        if stalled:
+        if stop == "stalled":
             break
         accepted_steps += 1
+        h_min = min(h_min, h_use)
+        h_max = max(h_max, h_use)
         dU = float(np.linalg.norm(Ut - U))
         dV = float(np.linalg.norm(Vt - V))
         U, V = Ut, Vt
-        lam, PU, PV, nU, nV = lam_t, PU_t, PV_t, nU_t, nV_t
-        base_U, base_V = nU, nV
-        h = min(h * beta_acc, h_cap)
+        lam, PU, PV, base = lam_t, PU_t, PV_t, g_t
+        unclamped = h_use == h
+        h = min(h * beta_acc, h_ceil)
         if keep_history:
             res_now = residual(op, U @ V.T, lam)
             history.append(HistoryEntry(accepted_steps, lam, res_now, h_use))
@@ -454,8 +471,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         # alone can freeze early (its gradient vanishes identically once
         # it aligns, e.g. with a shared Perron direction) while the other
         # is still moving.
-        if max(dU, dV) <= tol and h_use >= h:
-            converged = True
+        if unclamped and max(dU, dV) <= tol * h_use / h_init:
+            stop = "converged"
             break
 
     X = U @ V.T
@@ -466,16 +483,18 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         X=X,
         residual=res,
         iterations=accepted_steps,
-        converged=converged,
+        converged=stop == "converged",
         wall_time_s=time.perf_counter() - t0,
         neg_count=int(np.count_nonzero(X < 0)),
         factors=FactorPair(U, V),
         history=history,
         details={
-            "rng": "PCG64", "seed": seed, "h0": h_cap, "tol": tol,
+            "rng": "PCG64", "seed": seed, "h0": h_init, "tol": tol,
             "beta_rej": beta_rej, "beta_acc": beta_acc,
             "accept_mode": accept_mode, "accept_slack": accept_slack,
-            "stalled": stalled,
+            "stop": stop, "rejected": rejected,
+            "h_min": h_min if accepted_steps else None,
+            "h_max": h_max if accepted_steps else None,
         },
     )
 
@@ -507,8 +526,8 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
     step = float(op.default_step() if h is None else h)
-    if step <= 0:
-        raise ValueError("step size must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step size must be positive and finite, got {step}")
     if init is None:
         rng = np.random.default_rng(seed)
         U, _ = thin_qr(rng.standard_normal((m, rank)))

@@ -29,9 +29,10 @@ from nneig.operators import load_operator
 from nneig.solvers import krylov_reference, power_reference
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "nneig", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
 
 
 def tiny_config(**over):
@@ -246,6 +247,14 @@ class TestCLI:
                       "--rank", "1", "--seed", "2")
         assert out.returncode == 0
         assert "neg_count=0" in out.stdout
+
+    def test_solve_infinite_step_is_config_error(self, tmp_path):
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "demo-path-walk", "--out", str(path))
+        out = run_cli("solve", str(path), "--method", "rneg", "--h0", "inf",
+                      timeout=60)
+        assert out.returncode == 1
+        assert "h0" in out.stderr
 
     def test_solve_missing_file_is_io_error(self):
         out = run_cli("solve", "/nonexistent/op.json", "--method", "power")

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nneig.lowrank import best_scaled_error
+from nneig.bench import ExperimentConfig, _vertex_init, build_operator
+from nneig.lowrank import best_scaled_error, nmf
 from nneig.markovgrid import (
     RandomGridSpec,
     demo_clustered_walk,
     demo_path_walk,
     generate_random_grid,
+    rank_one_stationary,
 )
 from nneig.matcore import FactorPair
 from nneig.operators import (
@@ -272,6 +274,69 @@ class TestRNeg:
             rneg_solve(op, rank=1,
                        init=FactorPair(np.ones((3, 2)), np.ones((3, 2))))
 
+    @pytest.mark.parametrize("h0", [np.inf, np.nan])
+    def test_non_finite_step_rejected(self, h0):
+        # the step-relative stop divides by h0
+        with pytest.raises(ValueError, match="h0"):
+            rneg_solve(demo_path_walk(), rank=1, h0=h0)
+
+    def test_step_grows_past_h0(self):
+        rep = rneg_solve(demo_path_walk(), rank=1, seed=0, h0=0.01)
+        assert rep.converged
+        assert rep.details["h_min"] == 0.01
+        assert rep.details["h_max"] > 1.0
+
+    def test_step_statistics_match_history(self):
+        # the details are filled in without keep_history
+        plain = rneg_solve(demo_clustered_walk(), rank=2, seed=0)
+        assert plain.history == []
+        assert plain.details["stop"] == "converged"
+        rep = rneg_solve(demo_clustered_walk(), rank=2, seed=0,
+                         keep_history=True)
+        assert rep.details == plain.details
+        rejected = [e for e in rep.history if not e.accepted]
+        assert rep.details["rejected"] == len(rejected) > 0
+        accepted = [e.step_size for e in rep.history if e.accepted]
+        assert rep.details["h_min"] == min(accepted)
+        assert rep.details["h_max"] == max(accepted)
+
+    def test_budget_stop_reported(self):
+        rep = rneg_solve(demo_clustered_walk(), rank=2, seed=0, nmax=5)
+        assert not rep.converged
+        assert rep.iterations == 5
+        assert rep.details["stop"] == "budget"
+
+    def test_frozen_factor_converges(self):
+        # at rank one on this grid the U gradient reaches roundoff long
+        # before V settles; a per-factor acceptance test then rejected
+        # every trial and shrank the step to nothing
+        op = generate_random_grid(RandomGridSpec(n=8, family="shared-pair",
+                                                 seed=17))
+        _, _, Xstar = rank_one_stationary(op.terms[0][1], op.terms[1][2])
+        rep = rneg_solve(op, rank=1, seed=17)
+        assert rep.converged
+        assert best_scaled_error(rep.X, Xstar) <= 1e-4
+
+    def test_block_grid_warm_start_step_count(self):
+        # first trial of the shipped block-grid benchmark config, warm
+        # started from the reference as the bench does
+        cfg = ExperimentConfig(kind="block-grid", n=50, rank=10, seed=7,
+                               delta=0.2)
+        op = build_operator(cfg, cfg.seed)
+        ref = krylov_reference(op, tol=cfg.power_tol,
+                               max_iters=cfg.power_iters)
+        Xpos = np.maximum(ref.X, 0.0)
+        pair = _vertex_init(Xpos, nmf(Xpos, cfg.rank, seed=cfg.seed))
+        rep = rneg_solve(op, cfg.rank, seed=cfg.seed, init=pair)
+        assert rep.converged
+        assert rep.iterations <= 200
+
+    def test_random_grid_rank3_cold_converges(self):
+        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0)
+        rep = rneg_solve(build_operator(cfg, 0), 3, seed=0)
+        assert rep.converged
+        assert rep.neg_count == 0
+
 
 class TestPSI:
     def test_path_walk_rank1(self):
@@ -328,6 +393,11 @@ class TestPSI:
             psi_solve(op, rank=5)
         with pytest.raises(ValueError, match="step"):
             psi_solve(op, rank=1, h=0.0)
+
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_non_finite_step_rejected(self, h):
+        with pytest.raises(ValueError, match="step"):
+            psi_solve(demo_path_walk(), rank=1, h=h)
 
 
 class TestResidual:
