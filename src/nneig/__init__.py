@@ -16,9 +16,7 @@ from .matcore import (
     frobenius_inner,
     min_norm_direction,
     project_feasible_direction,
-    project_zero_pattern,
     thin_qr,
-    zero_pattern,
 )
 from .operators import (
     HadamardGrowthOperator,
@@ -112,7 +110,6 @@ __all__ = [
     "operator_to_dict",
     "power_reference",
     "project_feasible_direction",
-    "project_zero_pattern",
     "psi_solve",
     "rank_one_stationary",
     "rayleigh_value",
@@ -125,6 +122,5 @@ __all__ = [
     "truncated_svd",
     "validate_grid",
     "vectorize_operator",
-    "zero_pattern",
     "__version__",
 ]

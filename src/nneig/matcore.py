@@ -1,8 +1,8 @@
 """Dense-matrix primitives shared by the eigenpair solvers.
 
-Everything here operates on plain float64 numpy arrays.  The two masked
-projections and the minimal-norm direction encode the sign constraints used
-by the nonnegative integrator: entries that are exactly zero in the current
+Everything here operates on plain float64 numpy arrays.  The feasible
+projection and the minimal-norm direction encode the sign constraints of
+the nonnegative integrator: entries that are exactly zero in the current
 iterate may only move in the nonnegative direction, entries that are
 strictly positive are unconstrained.  Zero patterns are therefore always
 tested with an exact ``== 0`` comparison; the solvers produce exact zeros by
@@ -20,8 +20,6 @@ __all__ = [
     "FactorPair",
     "as_matrix",
     "frobenius_inner",
-    "zero_pattern",
-    "project_zero_pattern",
     "project_feasible_direction",
     "min_norm_direction",
     "thin_qr",
@@ -61,7 +59,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     M = np.asarray(a, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -83,38 +81,6 @@ def frobenius_inner(A: np.ndarray, B: np.ndarray) -> float:
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     return float(np.sum(A * B))
-
-
-def zero_pattern(W: np.ndarray) -> np.ndarray:
-    """Boolean mask of the entries of ``W`` that are exactly zero."""
-    return np.asarray(W) == 0
-
-
-def project_zero_pattern(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Restrict ``Z`` to the zero pattern of the nonnegative matrix ``W``.
-
-    Returns the matrix that agrees with ``Z`` wherever ``W`` is exactly zero
-    and vanishes elsewhere.
-
-    Parameters
-    ----------
-    W : numpy.ndarray
-        Nonnegative matrix carrying the pattern.  Negative entries are
-        rejected.
-    Z : numpy.ndarray
-        Matrix to project, same shape as ``W``.
-
-    Returns
-    -------
-    numpy.ndarray
-    """
-    W = np.asarray(W, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if W.shape != Z.shape:
-        raise ValueError(f"shape mismatch: {W.shape} vs {Z.shape}")
-    if np.any(W < 0):
-        raise ValueError("pattern matrix must be entrywise nonnegative")
-    return np.where(W == 0, Z, 0.0)
 
 
 def project_feasible_direction(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -140,7 +106,7 @@ def project_feasible_direction(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if W.shape != Z.shape:
         raise ValueError(f"shape mismatch: {W.shape} vs {Z.shape}")
-    if np.any(W < 0):
+    if W.min(initial=0.0) < 0:
         raise ValueError("base point must be entrywise nonnegative")
     return np.where(W > 0, Z, np.maximum(Z, 0.0))
 
@@ -212,15 +178,21 @@ def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``Q`` has orthonormal columns (shape ``(m, k)``), ``R`` is upper
         triangular (shape ``(k, k)``) with nonnegative diagonal, and
         ``Q @ R`` reconstructs ``M``.
+
+    Raises
+    ------
+    ValueError
+        If ``M`` is not 2-D, is wider than tall, or has non-finite entries.
     """
     M = as_matrix(M, "QR input")
     m, k = M.shape
     if m < k:
         raise ValueError(f"thin QR requires m >= k, got shape {M.shape}")
-    Q, R = np.linalg.qr(M, mode="reduced")
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return Q * d, d[:, None] * R
+    Q, R = np.linalg.qr(M)
+    d = np.where(R.diagonal() < 0, -1.0, 1.0)
+    Q *= d
+    R *= d[:, None]
+    return Q, R
 
 
 @dataclass

@@ -12,8 +12,13 @@ Three operator families are provided:
 
 Each operator evaluates either on a dense matrix (``apply_full``) or directly
 on a low-rank factor pair (``apply_factored``), where the input product
-``U @ V.T`` is never formed except for the entrywise growth term, which has
-no factored shortcut.
+``U @ V.T`` is never formed except for the entrywise growth term.  The
+factored solvers only need the image projected back onto the factors,
+``A(U V^T) V`` and ``A(U V^T)^T U``, which ``apply_projected`` returns.  On
+the two growth families it never forms an ``m x n`` matrix: the image is
+itself a sum of low-rank products, and the entrywise growth term is one
+too whenever the growth rate ``R`` has low numerical rank, since
+``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by column.
 """
 
 from __future__ import annotations
@@ -65,6 +70,17 @@ class LinearMatrixOperator:
 
     def apply_factored(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def apply_projected(self, U: np.ndarray,
+                        V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The image ``F = A(U V^T)`` projected onto the factors:
+        ``(F @ V, F.T @ U)``.
+
+        The default assembles ``F`` with one ``apply_factored`` call;
+        families whose image has a low-rank form override it.
+        """
+        F = self.apply_factored(U, V)
+        return F @ V, F.T @ U
 
     def default_step(self) -> float:
         """Default integrator step size for this operator family."""
@@ -199,6 +215,12 @@ class MarkovGridOperator(LinearMatrixOperator):
         return 0.0
 
 
+def _project_image(P: np.ndarray, Q: np.ndarray, U: np.ndarray,
+                   V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(F @ V, F.T @ U)`` for the image ``F = P @ Q.T``, never forming ``F``."""
+    return P @ (Q.T @ V), Q @ (P.T @ U)
+
+
 def neumann_laplacian(n: int) -> np.ndarray:
     """Second-difference matrix on ``n`` points of [0, 1] with reflecting ends.
 
@@ -233,8 +255,13 @@ class HadamardGrowthOperator(LinearMatrixOperator):
     may change sign, so the operator is Metzler but does not itself map
     nonnegative matrices to nonnegative matrices.
 
-    The entrywise product has no factored shortcut, so ``apply_factored``
-    forms the ``m x n`` product for the growth term only.
+    ``apply_factored`` forms the ``m x n`` product for the growth term
+    only.  ``apply_projected`` writes the growth term through the truncated
+    SVD ``R = sum_l a_l b_l^T`` of numerical rank ``q`` (the default
+    tolerance of ``np.linalg.matrix_rank``) as a product of width
+    ``(2 + q) r`` with the diffusion term, and falls back to the assembled
+    image when that width is not below ``n``.  The SVD runs on the first
+    call and is cached on the operator.
     """
 
     kind = "hadamard-growth"
@@ -257,6 +284,7 @@ class HadamardGrowthOperator(LinearMatrixOperator):
         self.shape = (n, n)
         self.preserves_nonnegativity = False
         self.is_metzler = True
+        self._growth_factors = None
 
     @classmethod
     def standard(cls, n: int, r0: float = 0.1, eps: float = 0.01,
@@ -277,6 +305,37 @@ class HadamardGrowthOperator(LinearMatrixOperator):
         P = U @ V.T  # needed by the entrywise term only
         return self.eps * ((self.A @ U) @ V.T + U @ (self.A @ V).T) \
             + self.eps_r * (self.R * P)
+
+    def _growth(self):
+        # columns x, y such that A(U V^T) = P Q^T with the blocks
+        # P = [x_0 o U, .., x_q o U, A U], Q = [A V, y_0 o V, .., y_q o V]
+        # for x = [eps, eps_r s_1 a_1, ..] and y = [b_1, .., b_q, eps]
+        if self._growth_factors is None:
+            a, s, bt = np.linalg.svd(self.R)
+            q = int(np.count_nonzero(
+                s > s.max(initial=0.0) * max(self.shape) * np.finfo(float).eps))
+            n = self.shape[0]
+            x = np.empty((n, q + 1))
+            x[:, 0] = self.eps
+            x[:, 1:] = a[:, :q] * (self.eps_r * s[:q])
+            y = np.empty((n, q + 1))
+            y[:, :q] = bt[:q].T
+            y[:, q] = self.eps
+            self._growth_factors = (x, y)
+        return self._growth_factors
+
+    def apply_projected(self, U, V):
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        x, y = self._growth()
+        n, r = U.shape
+        if (x.shape[1] + 1) * r >= n:
+            return super().apply_projected(U, V)
+        P = np.concatenate(
+            ((x[:, :, None] * U[:, None, :]).reshape(n, -1), self.A @ U), axis=1)
+        Q = np.concatenate(
+            (self.A @ V, (y[:, :, None] * V[:, None, :]).reshape(n, -1)), axis=1)
+        return _project_image(P, Q, U, V)
 
     def default_step(self) -> float:
         return 5e-3
@@ -340,6 +399,14 @@ class SeparableGrowthOperator(LinearMatrixOperator):
         return (self.eps * ((self.A @ U) @ V.T + U @ (self.A @ V).T)
                 + self.r0 * (U @ V.T)
                 + self.eps_r * ((self.phi[:, None] * U) @ (self.psi[:, None] * V).T))
+
+    def apply_projected(self, U, V):
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        P = np.concatenate((self.eps * U, (self.eps_r * self.phi)[:, None] * U,
+                            self.eps * (self.A @ U) + self.r0 * U), axis=1)
+        Q = np.concatenate((self.A @ V, self.psi[:, None] * V, V), axis=1)
+        return _project_image(P, Q, U, V)
 
     def default_step(self) -> float:
         return 1e-4

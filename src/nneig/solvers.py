@@ -281,55 +281,45 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     )
 
 
-def _factored_gradients(op: LinearMatrixOperator, U: np.ndarray, V: np.ndarray):
-    """Evaluate the constrained flow data at nonnegative factors (U, V).
+def _normalize(W: np.ndarray, m: int) -> bool:
+    """Scale the stacked factors ``W = [U; V]`` in place so that ``U V^T``
+    has unit Frobenius norm; False for a zero product."""
+    g = float(((W[:m].T @ W[:m]) * (W[m:].T @ W[m:])).sum())  # ||U V^T||^2
+    if g <= 0.0:
+        return False
+    W /= math.sqrt(math.sqrt(g))
+    return True
 
-    Returns the Rayleigh value, the feasible projections at the current
-    sign pattern of the flow ``A(X) - rho X`` pushed onto each factor, and
-    the joint norm ``hypot(||PU||, ||PV||)`` of the two projections.
+
+def _flow_data(op: LinearMatrixOperator, W: np.ndarray, m: int):
+    """Constrained flow data at normalized nonnegative factors ``W = [U; V]``.
+
+    Returns the Rayleigh value, the gradients of the flow ``A(X) - rho X``
+    pushed onto each factor, stacked like ``W`` and projected onto the
+    directions feasible at ``W``, and the joint norm of the projection.
     """
-    F = op.apply_factored(U, V)
-    FtU = F.T @ U
-    lam = float(np.sum(FtU * V))  # <A(X), UV^T> without forming UV^T
+    U, V = W[:m], W[m:]
+    FV, FtU = op.apply_projected(U, V)
+    lam = float((FtU * V).sum())  # <A(X), UV^T> without forming UV^T
     _check_finite(lam, "factored iterate")
-    GU = F @ V - lam * (U @ (V.T @ V))
-    GV = FtU - lam * (V @ (U.T @ U))
-    PU = project_feasible_direction(U, GU)
-    PV = project_feasible_direction(V, GV)
-    return lam, PU, PV, math.hypot(np.linalg.norm(PU), np.linalg.norm(PV))
+    G = np.empty_like(W)
+    np.subtract(FV, lam * (U @ (V.T @ V)), out=G[:m])
+    np.subtract(FtU, lam * (V @ (U.T @ U)), out=G[m:])
+    P = project_feasible_direction(W, G)
+    return lam, P, _norm(P)
 
 
-def _crossing_ratios(U: np.ndarray, PU: np.ndarray) -> np.ndarray:
-    """Per-entry step sizes at which positive entries would cross zero.
-
-    Only entries that are positive now and pushed downward constrain the
-    step; entries already at zero cannot decrease because the feasible
-    projection clips their direction at zero.  Unconstrained entries get
-    ``inf``.  The admissible step is the minimum over both factors.
-    """
-    out = np.full(U.shape, np.inf)
-    mask = (U > 0) & (PU < 0)
-    out[mask] = U[mask] / -PU[mask]
-    return out
-
-
-def _normalized_product(U: np.ndarray, V: np.ndarray):
-    """Rescale factors so the product has unit Frobenius norm."""
-    g = float(np.sum((U.T @ U) * (V.T @ V)))
-    s = np.sqrt(max(g, 0.0))
-    if s == 0.0:
-        return None, None
-    c = np.sqrt(s)
-    return U / c, V / c
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous array; the value of
+    ``np.linalg.norm`` without its dispatch cost."""
+    return math.sqrt(np.vdot(a, a))
 
 
 def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
                tol: float = 1e-8, nmax: int = 50_000, beta_rej: float = 0.5,
                beta_acc: float = 1.1, seed: int = 0,
-               init: FactorPair | None = None,
-               accept_mode: str = "prev_accepted",
-               accept_slack: float = 1.05, max_rejects: int = 40,
-               keep_history: bool = False) -> EigenReport:
+               init: FactorPair | None = None, accept_slack: float = 1.05,
+               max_rejects: int = 40, keep_history: bool = False) -> EigenReport:
     """Nonnegative rank-``rank`` eigenpair by explicit integration of the
     sign-constrained eigenvalue flow on the factors (RNeg).
 
@@ -352,10 +342,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     infinity, and every rejected trial of size ``h_use`` lowers it to
     ``h_use / beta_acc``.  The ceiling only falls, so the step settles
     below the largest size the operator lets pass the acceptance test,
-    not at a family constant.  ``accept_mode`` selects the backtracking
-    baseline: ``"prev_accepted"`` compares against the norm recorded at
-    the previous accepted step, ``"pre_step"`` against the norm at the
-    current factors.
+    not at a family constant.  The backtracking baseline is the norm at
+    the previous accepted step, so the first trial step always passes.
 
     The projected-gradient norms are not monotone along the flow, so a
     norm-decreasing step size need not exist; insisting on one deadlocks
@@ -385,8 +373,6 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         raise ValueError("beta_rej must lie in (0, 1)")
     if beta_acc < 1:
         raise ValueError("beta_acc must be at least 1")
-    if accept_mode not in ("prev_accepted", "pre_step"):
-        raise ValueError(f"unknown accept_mode {accept_mode!r}")
     if accept_slack < 1:
         raise ValueError("accept_slack must be at least 1")
     h_init = float(op.default_step() if h0 is None else h0)
@@ -399,16 +385,15 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     else:
         if init.shape != (m, n) or init.rank_bound != rank:
             raise ValueError("init factors do not match operator/rank")
-        U = init.U.copy()
-        V = init.V.copy()
-    U, V = _normalized_product(U, V)
-    if U is None:
+        U, V = init.U, init.V
+    # the factors live stacked, W = [U; V], so every entrywise operation
+    # of a step runs once over both
+    W = np.concatenate((U, V))
+    if not _normalize(W, m):
         raise ValueError("initial factors have zero product")
 
-    lam, PU, PV, g = _factored_gradients(op, U, V)
-    # the two baselines differ on the first step only: afterwards the
-    # previous accepted step is where the current step starts
-    base = np.inf if accept_mode == "prev_accepted" else g
+    lam, P, _ = _flow_data(op, W, m)
+    base = np.inf
     h = h_init
     h_ceil = np.inf
     h_floor = 1e-16
@@ -419,26 +404,29 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     rejected = 0
 
     while accepted_steps < nmax:
-        ratio_U = _crossing_ratios(U, PU)
-        ratio_V = _crossing_ratios(V, PV)
-        h_adm = float(min(ratio_U.min(), ratio_V.min()))
+        # per-entry step sizes at which positive entries would cross zero.
+        # Only entries pushed downward constrain the step, and those are
+        # all positive now: at a zero entry the feasible projection
+        # clipped the direction at zero
+        ratio = np.full(W.shape, np.inf)
+        np.divide(W, -P, out=ratio, where=P < 0)
+        h_adm = float(ratio.min())
         # backtracking loop: retake the trial step from the same factors
         # until the joint projected-gradient norm passes the acceptance
         # test, or the rejection budget runs out
         rejects = 0
         while True:
             h_use = min(h, h_adm)
-            Ut = np.maximum(U + h_use * PU, 0.0)
-            Vt = np.maximum(V + h_use * PV, 0.0)
+            Wt = P * h_use
+            Wt += W
+            np.maximum(Wt, 0.0, out=Wt)
             # entries whose crossing time is hit this step land exactly on
             # the boundary; roundoff residues there would otherwise shrink
             # the next admissible step to nothing
-            Ut[ratio_U <= h_use * (1.0 + 1e-12)] = 0.0
-            Vt[ratio_V <= h_use * (1.0 + 1e-12)] = 0.0
-            Ut, Vt = _normalized_product(Ut, Vt)
+            Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
             lam_t = np.nan
-            if Ut is not None:
-                lam_t, PU_t, PV_t, g_t = _factored_gradients(op, Ut, Vt)
+            if _normalize(Wt, m):
+                lam_t, P_t, g_t = _flow_data(op, Wt, m)
                 if g_t <= accept_slack * base or rejects >= max_rejects:
                     break
             rejected += 1
@@ -456,25 +444,24 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         accepted_steps += 1
         h_min = min(h_min, h_use)
         h_max = max(h_max, h_use)
-        dU = float(np.linalg.norm(Ut - U))
-        dV = float(np.linalg.norm(Vt - V))
-        U, V = Ut, Vt
-        lam, PU, PV, base = lam_t, PU_t, PV_t, g_t
-        unclamped = h_use == h
-        h = min(h * beta_acc, h_ceil)
-        if keep_history:
-            res_now = residual(op, U @ V.T, lam)
-            history.append(HistoryEntry(accepted_steps, lam, res_now, h_use))
         # a boundary-contact step moves the factors very little however far
         # the iterate is from stationarity; only an unclamped step counts
         # for the termination test.  Both factors must settle: one factor
         # alone can freeze early (its gradient vanishes identically once
         # it aligns, e.g. with a shared Perron direction) while the other
         # is still moving.
-        if unclamped and max(dU, dV) <= tol * h_use / h_init:
+        settled = h_use == h and max(
+            _norm(Wt[:m] - W[:m]), _norm(Wt[m:] - W[m:])) <= tol * h_use / h_init
+        W, lam, P, base = Wt, lam_t, P_t, g_t
+        h = min(h * beta_acc, h_ceil)
+        if keep_history:
+            res_now = residual(op, W[:m] @ W[m:].T, lam)
+            history.append(HistoryEntry(accepted_steps, lam, res_now, h_use))
+        if settled:
             stop = "converged"
             break
 
+    U, V = W[:m], W[m:]
     X = U @ V.T
     res = residual(op, X, lam)
     return EigenReport(
@@ -491,7 +478,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         details={
             "rng": "PCG64", "seed": seed, "h0": h_init, "tol": tol,
             "beta_rej": beta_rej, "beta_acc": beta_acc,
-            "accept_mode": accept_mode, "accept_slack": accept_slack,
+            "accept_slack": accept_slack,
             "stop": stop, "rejected": rejected,
             "h_min": h_min if accepted_steps else None,
             "h_max": h_max if accepted_steps else None,
@@ -519,7 +506,13 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     fixed points.  No sign constraint is imposed anywhere, so the limit
     generally carries negative entries.
 
-    Stops when ``||X_{k+1} - X_k||_F <= tol * h``.
+    Each substep needs the image ``A(X)`` only projected onto the
+    factors, which ``op.apply_projected`` supplies; the L-step evaluates at
+    the factor pair ``(U, V S^T)``, whose product is ``X`` itself.
+
+    Stops when ``||X_{k+1} - X_k||_F <= tol * h``, or after ``max_steps``
+    steps; ``details["stop"]`` says which (``"converged"`` or
+    ``"budget"``).
     """
     t0 = time.perf_counter()
     m, n = op.shape
@@ -539,37 +532,37 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         V = init.V.copy()
         S /= np.linalg.norm(S)
 
-    def flow_times(U_, S_, V_):
-        # A(X) for X = U S V^T, plus the Rayleigh value; X is never formed
-        F = op.apply_factored(U_ @ S_, V_)
-        rho = float(np.sum((U_.T @ F) * (S_ @ V_.T)))
+    def projected(U_, V_):
+        # A(X) for X = U_ V_^T projected onto both factors, and the
+        # Rayleigh value <A(X), X> = <A(X) V_, U_>; X is never formed
+        FV, FtU = op.apply_projected(U_, V_)
+        rho = float(np.vdot(FV, U_))
         _check_finite(rho, "splitting iterate")
-        return F, rho
+        return FV, FtU, rho
 
     history: list[HistoryEntry] = []
     X_prev = U @ S @ V.T
     converged = False
-    rho = 0.0
     k = 0
     for k in range(1, max_steps + 1):
         # K-step
-        F, rho = flow_times(U, S, V)
-        K = U @ S + step * (F @ V - rho * (U @ S))
-        U1, S_hat = thin_qr(K)
+        US = U @ S
+        FV, _, rho = projected(US, V)
+        U1, S_hat = thin_qr(US + step * (FV - rho * US))
         # S-step (backward)
-        F, rho = flow_times(U1, S_hat, V)
-        S_tilde = S_hat - step * (U1.T @ F @ V - rho * S_hat)
-        # L-step
-        F, rho = flow_times(U1, S_tilde, V)
-        L = V @ S_tilde.T + step * (F.T @ U1 - rho * (V @ S_tilde.T))
-        V1, S1t = thin_qr(L)
-        S1 = S1t.T
-        s_nrm = float(np.linalg.norm(S1))
-        if s_nrm == 0.0 or not np.isfinite(s_nrm):
+        US = U1 @ S_hat
+        FV, _, rho = projected(US, V)
+        S_tilde = S_hat - step * (U1.T @ FV - rho * S_hat)
+        # L-step, at X = U1 (V S_tilde^T)^T
+        VS = V @ S_tilde.T
+        _, FtU, rho = projected(U1, VS)
+        V1, S1t = thin_qr(VS + step * (FtU - rho * VS))
+        s_nrm = _norm(S1t)
+        if s_nrm == 0.0 or not math.isfinite(s_nrm):
             raise SolverError("splitting core vanished or blew up")
-        U, S, V = U1, S1 / s_nrm, V1
+        U, S, V = U1, S1t.T / s_nrm, V1
         X = U @ S @ V.T
-        delta = float(np.linalg.norm(X - X_prev))
+        delta = _norm(X - X_prev)
         if keep_history:
             history.append(HistoryEntry(k, rho, delta / step, step))
         X_prev = X
@@ -583,7 +576,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     if float(np.sum(X_prev)) < 0:
         S = -S
         X_prev = -X_prev
-    F, rho = flow_times(U, S, V)
+    F = op.apply_factored(U @ S, V)
+    rho = float(np.sum(F * X_prev))
+    _check_finite(rho, "splitting iterate")
     res = float(np.linalg.norm(F - rho * X_prev))
     return EigenReport(
         method="psi",
@@ -596,5 +591,6 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         neg_count=int(np.count_nonzero(X_prev < 0)),
         psi_state=PSIState(U, S, V),
         history=history,
-        details={"rng": "PCG64", "seed": seed, "h": step, "tol": tol},
+        details={"rng": "PCG64", "seed": seed, "h": step, "tol": tol,
+                 "stop": "converged" if converged else "budget"},
     )

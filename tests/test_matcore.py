@@ -18,9 +18,7 @@ from nneig.matcore import (
     frobenius_inner,
     min_norm_direction,
     project_feasible_direction,
-    project_zero_pattern,
     thin_qr,
-    zero_pattern,
 )
 
 
@@ -137,24 +135,9 @@ class TestProjections:
         P = project_feasible_direction(W, Z)
         np.testing.assert_array_equal(project_feasible_direction(W, P), P)
 
-    def test_zero_pattern_exact(self):
-        W = np.array([[0.0, 1e-300], [2.0, 0.0]])
-        np.testing.assert_array_equal(
-            zero_pattern(W), [[True, False], [False, True]]
-        )
-
-    def test_project_zero_pattern(self):
-        W = np.array([[0.0, 2.0], [1.0, 0.0]])
-        Z = np.array([[5.0, -3.0], [7.0, -2.0]])
-        np.testing.assert_array_equal(
-            project_zero_pattern(W, Z), [[5.0, 0.0], [0.0, -2.0]]
-        )
-
     def test_negative_pattern_rejected(self):
         W = np.array([[-1.0, 0.0]])
         Z = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            project_zero_pattern(W, Z)
         with pytest.raises(ValueError):
             project_feasible_direction(W, Z)
 
@@ -214,6 +197,13 @@ class TestThinQR:
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError):
             thin_qr(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        M = np.ones((4, 2))
+        M[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            thin_qr(M)
 
 
 class TestAsMatrix:

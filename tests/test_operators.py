@@ -347,3 +347,79 @@ class TestApplyFactoredScaling:
         np.testing.assert_allclose(
             op.apply_factored(U, V), op.apply_full(U @ V.T), atol=1e-9
         )
+
+
+def _dense_grid(n=10):
+    rng = np.random.default_rng(11)
+    terms = []
+    for w in (0.3, 0.7):
+        A = rng.random((n, n))
+        B = rng.random((n, n))
+        terms.append((w, A / A.sum(axis=1, keepdims=True),
+                      B / B.sum(axis=1, keepdims=True)))
+    op = MarkovGridOperator(terms)
+    assert op._sparse_P is None
+    return op
+
+
+def _sparse_grid(n=10):
+    # shifted permutations: n nonzeros per factor, far below the GEMM cutoff
+    eye = np.eye(n)
+    op = MarkovGridOperator([(0.5, np.roll(eye, 1, axis=1), eye),
+                             (0.5, eye, np.roll(eye, 2, axis=1))])
+    assert op._dense_wAt is None
+    return op
+
+
+def _full_rank_hadamard(n=10):
+    rng = np.random.default_rng(12)
+    base = HadamardGrowthOperator.standard(n)
+    return HadamardGrowthOperator(base.A, base.eps, base.eps_r,
+                                  rng.standard_normal((n, n)))
+
+
+class TestApplyProjected:
+    # (builder, whether the projection assembles the image first)
+    FAMILIES = {
+        "dense-grid": (_dense_grid, True),
+        "sparse-grid": (_sparse_grid, True),
+        "hadamard": (lambda: HadamardGrowthOperator.standard(10), False),
+        "hadamard-full-rank-growth": (_full_rank_hadamard, True),
+        "separable": (lambda: SeparableGrowthOperator.standard(10), False),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(arrays(float, (10, 2), elements=st.floats(0, 1, width=16)),
+           arrays(float, (10, 2), elements=st.floats(0, 1, width=16)))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_assembled_image_property(self, family, U, V):
+        build, assembles = self.FAMILIES[family]
+        op = build()
+        calls = []
+        factored = op.apply_factored
+        op.apply_factored = lambda *a: calls.append(1) or factored(*a)
+        FV, FtU = op.apply_projected(U, V)
+        assert len(calls) == assembles
+        F = factored(U, V)
+        for got, want in ((FV, F @ V), (FtU, F.T @ U)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_hadamard_growth_rank_from_svd(self):
+        op = HadamardGrowthOperator.standard(40)
+        x, y = op._growth()
+        # r0 + sin cos^T has numerical rank 2: eps plus two growth columns
+        assert x.shape == y.shape == (40, 3)
+        assert _full_rank_hadamard(40)._growth()[0].shape == (40, 41)
+
+    def test_construction_defers_the_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        op = HadamardGrowthOperator.standard(20)
+        HadamardGrowthOperator(op.A, op.eps, op.eps_r, op.R)
+        assert calls == []
+        U = np.ones((20, 2))
+        op.apply_projected(U, U)
+        op.apply_projected(U, U)
+        assert calls == [1]

@@ -20,11 +20,13 @@ from nneig.markovgrid import (
     generate_random_grid,
     rank_one_stationary,
 )
-from nneig.matcore import FactorPair
+from nneig.matcore import FactorPair, thin_qr
 from nneig.operators import (
     HadamardGrowthOperator,
+    LinearMatrixOperator,
     MarkovGridOperator,
     SeparableGrowthOperator,
+    grid_points,
 )
 from nneig.solvers import (
     PSIState,
@@ -264,8 +266,6 @@ class TestRNeg:
             rneg_solve(op, rank=0)
         with pytest.raises(ValueError, match="rank"):
             rneg_solve(op, rank=4)
-        with pytest.raises(ValueError, match="accept_mode"):
-            rneg_solve(op, rank=1, accept_mode="always")
         with pytest.raises(ValueError, match="h0"):
             rneg_solve(op, rank=1, h0=-0.1)
         with pytest.raises(ValueError, match="beta_rej"):
@@ -398,6 +398,94 @@ class TestPSI:
     def test_non_finite_step_rejected(self, h):
         with pytest.raises(ValueError, match="step"):
             psi_solve(demo_path_walk(), rank=1, h=h)
+
+    def test_stop_reason(self):
+        done = psi_solve(demo_path_walk(), rank=1, seed=0, tol=1e-10)
+        assert done.converged and done.details["stop"] == "converged"
+        cut = psi_solve(demo_path_walk(), rank=1, seed=0, tol=1e-10,
+                        max_steps=5)
+        assert cut.iterations == 5
+        assert not cut.converged and cut.details["stop"] == "budget"
+
+
+class AssembledImage(LinearMatrixOperator):
+    """Delegates ``apply_full`` and ``apply_factored`` only, so the solvers
+    see the default ``apply_projected``, which assembles the image."""
+
+    def __init__(self, op):
+        self.op = op
+        self.shape = op.shape
+        self.preserves_nonnegativity = op.preserves_nonnegativity
+        self.is_metzler = op.is_metzler
+
+    def apply_full(self, X):
+        return self.op.apply_full(X)
+
+    def apply_factored(self, U, V):
+        return self.op.apply_factored(U, V)
+
+    def default_step(self):
+        return self.op.default_step()
+
+    def default_shift(self):
+        return self.op.default_shift()
+
+
+class TestProjectedImagePath:
+    """The factored projection of a low-rank growth rate drives both
+    factored solvers to the same iterates as the assembled image."""
+
+    @staticmethod
+    def nonsymmetric_growth(n=30):
+        # rank-3 growth rate with R != R^T, so evaluating the L-step at the
+        # transposed pair would apply the operator to X^T and show up here
+        x = grid_points(n)
+        R = (0.1 + np.outer(np.sin(2 * np.pi * x), np.cos(3 * np.pi * x))
+             + np.outer(x, x ** 2))
+        base = HadamardGrowthOperator.standard(n)
+        op = HadamardGrowthOperator(base.A, base.eps, base.eps_r, R)
+        assert op._growth()[0].shape[1] == 4  # the factored path is taken
+        return op
+
+    def test_psi_matches_assembled_image(self):
+        op = self.nonsymmetric_growth()
+        a = psi_solve(op, rank=3, h=1e-3, max_steps=200, seed=3)
+        b = psi_solve(AssembledImage(op), rank=3, h=1e-3, max_steps=200,
+                      seed=3)
+        assert a.iterations == b.iterations == 200
+        assert np.abs(a.X - b.X).max() <= 1e-9
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
+
+    def test_psi_step_matches_dense_substeps(self):
+        # one step against the three substeps written out on the dense
+        # flow G(X) = A(X) - <A(X), X> X
+        op = self.nonsymmetric_growth()
+        rng = np.random.default_rng(4)
+        U, _ = thin_qr(rng.standard_normal((30, 3)))
+        V, _ = thin_qr(rng.standard_normal((30, 3)))
+        S = np.diag([0.8, 0.5, 0.33])
+        S /= np.linalg.norm(S)
+        h = 1e-2
+
+        def G(X):
+            Y = op.apply_full(X)
+            return Y - np.sum(Y * X) * X
+
+        U1, S_hat = thin_qr(U @ S + h * G(U @ S @ V.T) @ V)
+        S_tilde = S_hat - h * U1.T @ G(U1 @ S_hat @ V.T) @ V
+        V1, S1t = thin_qr(V @ S_tilde.T + h * G(U1 @ S_tilde @ V.T).T @ U1)
+        X = U1 @ S1t.T @ V1.T / np.linalg.norm(S1t)
+        rep = psi_solve(op, rank=3, h=h, max_steps=1, init=PSIState(U, S, V))
+        assert np.abs(rep.X - np.sign(X.sum()) * X).max() <= 1e-12
+
+    def test_rneg_matches_assembled_image(self):
+        op = self.nonsymmetric_growth()
+        a = rneg_solve(op, rank=3, nmax=50, seed=3)
+        b = rneg_solve(AssembledImage(op), rank=3, nmax=50, seed=3)
+        assert a.iterations == b.iterations == 50
+        assert a.details["rejected"] == b.details["rejected"]
+        assert np.abs(a.X - b.X).max() <= 1e-9
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
 
 
 class TestResidual:
