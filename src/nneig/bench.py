@@ -23,11 +23,12 @@ from .solvers import (EigenReport, PSIState, krylov_reference,  # noqa: F401
 
 __all__ = [
     "KNOWN_METHODS",
+    "KINDS",
     "CSV_HEADER",
     "ExperimentConfig",
     "MetricsRow",
-    "negcount",
     "build_operator",
+    "compress_reference",
     "evaluate_against_reference",
     "run_experiment",
     "aggregate",
@@ -36,12 +37,8 @@ __all__ = [
 ]
 
 KNOWN_METHODS = ("power", "power+svd", "power+nmf", "psi", "rneg")
+KINDS = ("block-grid", "random-grid", "hadamard-growth", "separable-growth")
 CSV_HEADER = "method,time_s,relerr,residual,lambda_err,neg_count,converged"
-
-
-def negcount(X) -> int:
-    """Number of strictly negative entries."""
-    return int(np.count_nonzero(np.asarray(X) < 0))
 
 
 @dataclass
@@ -65,12 +62,11 @@ class MetricsRow:
 class ExperimentConfig:
     """Declarative description of a benchmark run.
 
-    ``kind`` selects the operator family: ``block-grid``, ``random-grid``,
-    ``hadamard-growth`` or ``separable-growth``.  Fields that do not apply
-    to the chosen kind are ignored.  ``None`` solver knobs resolve to
-    family defaults at run time.  Trial ``i`` derives its generation and
-    solver seeds from ``seed + i`` (PCG64), so a config JSON pins the whole
-    run.
+    ``kind`` selects the operator family, one of :data:`KINDS`.  Fields
+    that do not apply to the chosen kind are ignored.  ``None`` solver
+    knobs resolve to family defaults at run time.  Trial ``i`` derives its
+    generation and solver seeds from ``seed + i`` (PCG64), so a config
+    JSON pins the whole run.
 
     The ``power`` row is the reference eigenpair from
     :func:`~nneig.solvers.krylov_reference`: ``power_tol`` is its residual
@@ -136,8 +132,7 @@ class ExperimentConfig:
     ode_init: str = "auto"
 
     def __post_init__(self):
-        if self.kind not in ("block-grid", "random-grid", "hadamard-growth",
-                             "separable-growth"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.methods = tuple(self.methods)
         unknown = set(self.methods) - set(KNOWN_METHODS)
@@ -178,15 +173,27 @@ def build_operator(cfg: ExperimentConfig, trial_seed: int) -> LinearMatrixOperat
         return generate_random_grid(RandomGridSpec(
             n=cfg.n, t=cfg.t, density=cfg.density, seed=trial_seed,
             family=cfg.family))
-    if cfg.kind == "hadamard-growth":
-        kw = {k: v for k, v in
-              (("r0", cfg.r0), ("eps", cfg.eps), ("eps_r", cfg.eps_r))
-              if v is not None}
-        return HadamardGrowthOperator.standard(cfg.n, **kw)
     kw = {k: v for k, v in
           (("r0", cfg.r0), ("eps", cfg.eps), ("eps_r", cfg.eps_r))
           if v is not None}
+    if cfg.kind == "hadamard-growth":
+        return HadamardGrowthOperator.standard(cfg.n, **kw)
     return SeparableGrowthOperator.standard(cfg.n, **kw)
+
+
+def compress_reference(ref: EigenReport, method: str, rank: int,
+                       fit: NMFResult | None) -> np.ndarray:
+    """The rank-``rank`` matrix that ``power+svd`` or ``power+nmf`` makes
+    of the reference eigenmatrix: its truncated SVD, or the product of
+    ``fit``, a nonnegative factorization of the clipped reference.
+
+    The matrix is returned unnormalized: its consumers normalize it, and
+    normalizing it here as well would move the last digits of their
+    results.
+    """
+    if method == "power+svd":
+        return truncated_svd(ref.X, rank).reconstruct()
+    return fit.W @ fit.H
 
 
 def evaluate_against_reference(op: LinearMatrixOperator, X,
@@ -217,7 +224,7 @@ def evaluate_against_reference(op: LinearMatrixOperator, X,
         relerr=best_scaled_error(Xn, ref.X),
         residual=res,
         lambda_err=abs(lam - ref.eigenvalue),
-        neg_count=negcount(Xn),
+        neg_count=int(np.count_nonzero(Xn < 0)),
         converged=float(converged),
     )
 
@@ -291,18 +298,14 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
         if method == "power":
             rows.append(evaluate_against_reference(
                 op, ref.X, ref, "power", ref.wall_time_s, ref.converged))
-        elif method == "power+svd":
+        elif method in ("power+svd", "power+nmf"):
             t0 = time.perf_counter()
-            X = truncated_svd(ref.X, cfg.rank).reconstruct()
+            X = compress_reference(ref, method, cfg.rank, fit)
             dt = time.perf_counter() - t0
+            if method == "power+nmf":
+                dt += fit_s
             rows.append(evaluate_against_reference(
-                op, X, ref, "power+svd", ref.wall_time_s + dt, ref.converged))
-        elif method == "power+nmf":
-            t0 = time.perf_counter()
-            X = fit.W @ fit.H
-            dt = fit_s + time.perf_counter() - t0
-            rows.append(evaluate_against_reference(
-                op, X, ref, "power+nmf", ref.wall_time_s + dt, ref.converged))
+                op, X, ref, method, ref.wall_time_s + dt, ref.converged))
         elif method == "psi":
             t0 = time.perf_counter()
             state = (_svd_state(ref.X, cfg.rank)

@@ -14,26 +14,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .bench import ExperimentConfig, aggregate, render_rows, run_experiment
-from .markovgrid import (BlockGridSpec, RandomGridSpec, demo_clustered_walk,
-                         demo_path_walk, generate_block_grid,
-                         generate_random_grid, validate_grid)
-from .operators import (HadamardGrowthOperator, MarkovGridOperator,
-                        SeparableGrowthOperator, load_operator, save_operator)
-from .solvers import (SolverError, krylov_reference, power_reference,
-                      psi_solve, rneg_solve)
-from .lowrank import nmf, truncated_svd
+from dataclasses import replace
 
 import numpy as np
+
+from .bench import (KINDS, KNOWN_METHODS, ExperimentConfig, aggregate,
+                    build_operator, compress_reference, render_rows,
+                    run_experiment)
+from .lowrank import nmf
+from .markovgrid import demo_clustered_walk, demo_path_walk, validate_grid
+from .operators import (MarkovGridOperator, load_operator, rayleigh_value,
+                        save_operator)
+from .solvers import (SolverError, krylov_reference, psi_solve, residual,
+                      rneg_solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
-GENERATE_KINDS = ("block-grid", "random-grid", "hadamard-growth",
-                  "separable-growth", "demo-path-walk", "demo-clustered-walk")
+DEMO_WALKS = {"demo-path-walk": demo_path_walk,
+              "demo-clustered-walk": demo_clustered_walk}
 
 
 class ConfigError(ValueError):
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("generate", help="generate an operator JSON")
-    g.add_argument("--kind", required=True, choices=GENERATE_KINDS)
+    g.add_argument("--kind", required=True, choices=KINDS + tuple(DEMO_WALKS))
     g.add_argument("--n", type=int, default=50)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -71,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve for the rightmost eigenpair")
     s.add_argument("operator")
-    s.add_argument("--method", required=True,
-                   choices=("power", "power+svd", "power+nmf", "psi", "rneg"))
+    s.add_argument("--method", required=True, choices=KNOWN_METHODS)
     s.add_argument("--rank", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--tol", type=float, default=1e-8)
@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: operator family)")
     s.add_argument("--out", default=None, help="report JSON path")
     s.add_argument("--verbose", action="store_true",
-                   help="include per-iteration history in the report")
+                   help="include the per-step history of psi or rneg "
+                        "in the report")
 
     b = sub.add_parser("bench", help="run a benchmark experiment config")
     b.add_argument("config")
@@ -97,31 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _generate(args) -> int:
-    if args.kind == "demo-path-walk":
-        op = demo_path_walk()
-    elif args.kind == "demo-clustered-walk":
-        op = demo_clustered_walk()
-    elif args.kind == "block-grid":
-        sizes = tuple(args.sizes) if args.sizes else (1,) * args.n
-        op = generate_block_grid(BlockGridSpec(sizes=sizes, delta=args.delta,
-                                               seed=args.seed,
-                                               style=args.style))
-    elif args.kind == "random-grid":
-        op = generate_random_grid(RandomGridSpec(n=args.n, t=args.t,
-                                                 density=args.density,
-                                                 seed=args.seed,
-                                                 family=args.family))
+    if args.kind in DEMO_WALKS:
+        op = DEMO_WALKS[args.kind]()
     else:
-        kw = {}
-        if args.eps is not None:
-            kw["eps"] = args.eps
-        if args.eps_r is not None:
-            kw["eps_r"] = args.eps_r
-        if args.r0 is not None:
-            kw["r0"] = args.r0
-        cls = (HadamardGrowthOperator if args.kind == "hadamard-growth"
-               else SeparableGrowthOperator)
-        op = cls.standard(args.n, **kw)
+        # the bench builds the same operator; rank does not shape it
+        cfg = ExperimentConfig(
+            kind=args.kind, n=args.n, rank=1, delta=args.delta,
+            sizes=args.sizes, block_style=args.style, t=args.t,
+            density=args.density, family=args.family, eps=args.eps,
+            eps_r=args.eps_r, r0=args.r0)
+        op = build_operator(cfg, args.seed)
     save_operator(op, args.out)
     if args.verbose:
         print(f"wrote {args.kind} operator of shape {op.shape} to {args.out}")
@@ -143,39 +129,36 @@ def _validate(args) -> int:
 
 
 def _solve(args) -> int:
-    op = load_operator(args.operator)
     iters = args.max_iters
-    if args.method == "power":
-        rep = power_reference(op, tol=args.tol,
-                              max_iters=iters or 500_000,
-                              keep_history=args.verbose)
-    elif args.method in ("power+svd", "power+nmf"):
-        ref = krylov_reference(op, tol=args.tol, max_iters=iters or 500_000)
-        if args.method == "power+svd":
-            X = truncated_svd(ref.X, args.rank).reconstruct()
-        else:
-            res = nmf(np.maximum(ref.X, 0.0), args.rank, seed=args.seed)
-            X = res.W @ res.H
-        nrm = np.linalg.norm(X)
-        if nrm == 0:
-            raise SolverError("low-rank compression of the reference is zero")
-        Xn = X / nrm
-        Y = op.apply_full(Xn)
-        lam = float(np.sum(Y * Xn))
-        rep = ref
-        rep.method = args.method
-        rep.X = Xn
-        rep.eigenvalue = lam
-        rep.residual = float(np.linalg.norm(Y - lam * Xn))
-        rep.neg_count = int(np.count_nonzero(Xn < 0))
-    elif args.method == "psi":
+    if iters is not None and iters < 1:
+        raise ConfigError(f"--max-iters must be at least 1, got {iters}")
+    op = load_operator(args.operator)
+    if args.method == "psi":
         rep = psi_solve(op, args.rank, h=args.h0, tol=args.tol,
-                        max_steps=iters or 500_000, seed=args.seed,
-                        keep_history=args.verbose)
-    else:
+                        max_steps=500_000 if iters is None else iters,
+                        seed=args.seed, keep_history=args.verbose)
+    elif args.method == "rneg":
         rep = rneg_solve(op, args.rank, h0=args.h0, tol=args.tol,
-                         nmax=iters or 50_000, seed=args.seed,
-                         keep_history=args.verbose)
+                         nmax=50_000 if iters is None else iters,
+                         seed=args.seed, keep_history=args.verbose)
+    else:
+        # the reference and its compressions, as the bench computes them
+        rep = krylov_reference(op, tol=args.tol,
+                               max_iters=500_000 if iters is None else iters)
+        fields = {}
+        if args.method != "power":
+            fit = (nmf(np.maximum(rep.X, 0.0), args.rank, seed=args.seed)
+                   if args.method == "power+nmf" else None)
+            X = compress_reference(rep, args.method, args.rank, fit)
+            nrm = np.linalg.norm(X)
+            if nrm == 0:
+                raise SolverError("low-rank compression of the reference "
+                                  "is zero")
+            X = X / nrm
+            lam = rayleigh_value(op, X)
+            fields = dict(X=X, eigenvalue=lam, residual=residual(op, X, lam),
+                          neg_count=int(np.count_nonzero(X < 0)))
+        rep = replace(rep, method=args.method, **fields)
     payload = rep.to_dict(include_matrix=True, include_history=args.verbose)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,12 +1,12 @@
 """Dense-matrix primitives shared by the eigenpair solvers.
 
 Everything here operates on plain float64 numpy arrays.  The feasible
-projection and the minimal-norm direction encode the sign constraints of
-the nonnegative integrator: entries that are exactly zero in the current
-iterate may only move in the nonnegative direction, entries that are
-strictly positive are unconstrained.  Zero patterns are therefore always
-tested with an exact ``== 0`` comparison; the solvers produce exact zeros by
-clamping, so no tolerance is involved.
+projection encodes the sign constraints of the nonnegative integrator:
+entries that are exactly zero in the current iterate may only move in the
+nonnegative direction, entries that are strictly positive are
+unconstrained.  Zero patterns are therefore always tested with an exact
+``== 0`` comparison; the solvers produce exact zeros by clamping, so no
+tolerance is involved.
 """
 
 from __future__ import annotations
@@ -16,23 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StationaryDirectionError",
     "FactorPair",
     "as_matrix",
     "frobenius_inner",
     "project_feasible_direction",
-    "min_norm_direction",
     "thin_qr",
 ]
-
-
-class StationaryDirectionError(ValueError):
-    """No feasible direction exists: the anchor vector vanishes off-pattern.
-
-    Raised by :func:`min_norm_direction` when every entry of the anchor that
-    is allowed to move is zero.  Callers should treat the corresponding
-    factor as stationary.
-    """
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -109,55 +98,6 @@ def project_feasible_direction(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if W.min(initial=0.0) < 0:
         raise ValueError("base point must be entrywise nonnegative")
     return np.where(W > 0, Z, np.maximum(Z, 0.0))
-
-
-def min_norm_direction(a: np.ndarray, zero_idx) -> np.ndarray:
-    """Minimal-norm vector with unit inner product against ``a`` and a
-    prescribed zero set.
-
-    Solves ``min ||x||_2`` subject to ``<a, x> = 1`` and ``x_i = 0`` for
-    ``i`` in ``zero_idx``.  The solution is the restriction of ``a`` to the
-    free indices, rescaled so the inner-product constraint holds::
-
-        x* = P(a) / <a, P(a)>
-
-    where ``P`` zeroes the entries listed in ``zero_idx``.
-
-    Parameters
-    ----------
-    a : numpy.ndarray
-        1-D anchor vector.
-    zero_idx : array_like
-        Either a boolean mask of the same length as ``a`` or an integer
-        index collection; marks entries constrained to zero.
-
-    Returns
-    -------
-    numpy.ndarray
-        The minimizer.
-
-    Raises
-    ------
-    StationaryDirectionError
-        If ``a`` vanishes on every free index, so no feasible ``x`` exists.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("anchor must be 1-D")
-    mask = np.asarray(zero_idx)
-    if mask.dtype != bool:
-        idx = np.asarray(zero_idx, dtype=int)
-        mask = np.zeros(a.shape, dtype=bool)
-        mask[idx] = True
-    if mask.shape != a.shape:
-        raise ValueError("zero mask shape does not match anchor")
-    b = np.where(mask, 0.0, a)
-    denom = float(np.dot(a, b))  # equals ||b||^2
-    if denom == 0.0:
-        raise StationaryDirectionError(
-            "anchor vanishes on all free indices; no feasible direction"
-        )
-    return b / denom
 
 
 def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -315,11 +315,17 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a))
 
 
+# step control of rneg_solve; its docstring says what each constant does
+BETA_REJ = 0.5
+BETA_ACC = 1.1
+ACCEPT_SLACK = 1.05
+MAX_REJECTS = 40
+
+
 def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
-               tol: float = 1e-8, nmax: int = 50_000, beta_rej: float = 0.5,
-               beta_acc: float = 1.1, seed: int = 0,
-               init: FactorPair | None = None, accept_slack: float = 1.05,
-               max_rejects: int = 40, keep_history: bool = False) -> EigenReport:
+               tol: float = 1e-8, nmax: int = 50_000, seed: int = 0,
+               init: FactorPair | None = None,
+               keep_history: bool = False) -> EigenReport:
     """Nonnegative rank-``rank`` eigenpair by explicit integration of the
     sign-constrained eigenvalue flow on the factors (RNeg).
 
@@ -332,27 +338,27 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     and adapted by backtracking: a trial step is accepted only when the
     joint norm ``hypot(||PU||, ||PV||)`` of the projected gradients does
     not exceed the acceptance baseline, else the step is retaken from the
-    same factors with ``h * beta_rej``.  The norm is joint, not per
+    same factors with ``h * BETA_REJ``.  The norm is joint, not per
     factor: once one factor has aligned, its gradient sits at roundoff,
     and a per-factor test would reject every step on that noise alone.
 
     ``h0`` is the initial step, not a cap (``h0=None`` resolves to the
     operator's default step).  On acceptance the step grows by
-    ``beta_acc`` up to a ceiling learned from rejections: it starts at
+    ``BETA_ACC`` up to a ceiling learned from rejections: it starts at
     infinity, and every rejected trial of size ``h_use`` lowers it to
-    ``h_use / beta_acc``.  The ceiling only falls, so the step settles
+    ``h_use / BETA_ACC``.  The ceiling only falls, so the step settles
     below the largest size the operator lets pass the acceptance test,
     not at a family constant.  The backtracking baseline is the norm at
     the previous accepted step, so the first trial step always passes.
 
     The projected-gradient norms are not monotone along the flow, so a
     norm-decreasing step size need not exist; insisting on one deadlocks
-    the search wherever the trajectory climbs.  ``accept_slack`` gives the
+    the search wherever the trajectory climbs.  ``ACCEPT_SLACK`` gives the
     test multiplicative headroom: a trial passes when the joint norm grows
     by no more than that factor over the baseline.  The flow's own
     per-step growth is ``1 + O(h)``, so some step size always passes,
     while the compounding jumps of an unstable explicit step still get
-    rejected.  ``max_rejects`` bounds the halvings per step as a final
+    rejected.  ``MAX_REJECTS`` bounds the halvings per step as a final
     safety; the smallest trial is then taken anyway.
 
     Termination is step-relative: ``max(dU, dV) <= tol * h_use / h0``,
@@ -369,12 +375,6 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     m, n = op.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
-    if not 0 < beta_rej < 1:
-        raise ValueError("beta_rej must lie in (0, 1)")
-    if beta_acc < 1:
-        raise ValueError("beta_acc must be at least 1")
-    if accept_slack < 1:
-        raise ValueError("accept_slack must be at least 1")
     h_init = float(op.default_step() if h0 is None else h0)
     if not (np.isfinite(h_init) and h_init > 0):
         raise ValueError(f"h0 must be positive and finite, got {h_init}")
@@ -427,15 +427,15 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             lam_t = np.nan
             if _normalize(Wt, m):
                 lam_t, P_t, g_t = _flow_data(op, Wt, m)
-                if g_t <= accept_slack * base or rejects >= max_rejects:
+                if g_t <= ACCEPT_SLACK * base or rejects >= MAX_REJECTS:
                     break
             rejected += 1
             if keep_history:
                 history.append(HistoryEntry(accepted_steps + 1, lam_t,
                                             np.nan, h_use, accepted=False))
             rejects += 1
-            h_ceil = min(h_ceil, h_use / beta_acc)
-            h *= beta_rej
+            h_ceil = min(h_ceil, h_use / BETA_ACC)
+            h *= BETA_REJ
             if h < h_floor:
                 stop = "stalled"
                 break
@@ -453,7 +453,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         settled = h_use == h and max(
             _norm(Wt[:m] - W[:m]), _norm(Wt[m:] - W[m:])) <= tol * h_use / h_init
         W, lam, P, base = Wt, lam_t, P_t, g_t
-        h = min(h * beta_acc, h_ceil)
+        h = min(h * BETA_ACC, h_ceil)
         if keep_history:
             res_now = residual(op, W[:m] @ W[m:].T, lam)
             history.append(HistoryEntry(accepted_steps, lam, res_now, h_use))
@@ -477,8 +477,6 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         history=history,
         details={
             "rng": "PCG64", "seed": seed, "h0": h_init, "tol": tol,
-            "beta_rej": beta_rej, "beta_acc": beta_acc,
-            "accept_slack": accept_slack,
             "stop": stop, "rejected": rejected,
             "h_min": h_min if accepted_steps else None,
             "h_max": h_max if accepted_steps else None,

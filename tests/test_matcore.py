@@ -1,9 +1,4 @@
-"""Unit and property tests for the dense primitives.
-
-The minimal-norm direction is checked against an independent KKT oracle:
-the equality-constrained quadratic program is assembled and solved as a
-dense linear system, without reusing the closed form under test.
-"""
+"""Unit and property tests for the dense primitives."""
 
 import numpy as np
 import pytest
@@ -13,104 +8,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from nneig.matcore import (
     FactorPair,
-    StationaryDirectionError,
     as_matrix,
     frobenius_inner,
-    min_norm_direction,
     project_feasible_direction,
     thin_qr,
 )
 
 
-def kkt_min_norm(a, mask):
-    """Oracle: solve min ||x|| s.t. <a,x>=1, x[mask]=0 as a KKT system.
-
-    On the free coordinates the stationarity condition is x - lam*a = 0
-    with the scalar constraint <a_free, x_free> = 1; assemble the dense
-    saddle-point system and solve it with a generic linear solver.
-    """
-    free = ~mask
-    af = a[free]
-    k = af.size
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = np.eye(k)
-    K[:k, k] = -af
-    K[k, :k] = af
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol = np.linalg.solve(K, rhs)
-    x = np.zeros_like(a)
-    x[free] = sol[:k]
-    return x
-
-
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False,
                           allow_infinity=False)
-
-
-class TestMinNormDirection:
-    def test_frozen_example(self):
-        # a = (2, 0, 1), second coordinate pinned to zero:
-        # free part (2, 1), norm^2 = 5, solution (2/5, 0, 1/5)
-        x = min_norm_direction(np.array([2.0, 0.0, 1.0]), [1])
-        np.testing.assert_allclose(x, [0.4, 0.0, 0.2], rtol=0, atol=1e-15)
-
-    def test_constraint_holds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.standard_normal(7)
-            mask = rng.random(7) < 0.4
-            if not np.any(np.abs(a[~mask]) > 0):
-                continue
-            x = min_norm_direction(a, mask)
-            assert abs(np.dot(a, x) - 1.0) < 1e-12
-            assert np.all(x[mask] == 0)
-
-    def test_matches_kkt_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = rng.integers(2, 12)
-            a = rng.standard_normal(n)
-            mask = rng.random(n) < 0.3
-            if np.linalg.norm(a[~mask]) < 1e-9:
-                continue
-            x = min_norm_direction(a, mask)
-            y = kkt_min_norm(a, mask)
-            np.testing.assert_allclose(x, y, atol=1e-10)
-
-    def test_dominates_random_feasible_points(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(9)
-        mask = np.zeros(9, dtype=bool)
-        mask[[1, 4]] = True
-        x = min_norm_direction(a, mask)
-        best = np.linalg.norm(x)
-        for _ in range(1000):
-            y = rng.standard_normal(9)
-            y[mask] = 0.0
-            s = np.dot(a, y)
-            if abs(s) < 1e-9:
-                continue
-            y = y / s
-            assert np.linalg.norm(y) >= best - 1e-12
-
-    def test_integer_indices_equal_mask(self):
-        a = np.array([1.0, -2.0, 3.0, 0.5])
-        mask = np.array([False, True, False, True])
-        np.testing.assert_array_equal(
-            min_norm_direction(a, mask), min_norm_direction(a, [1, 3])
-        )
-
-    def test_stationary_direction_raises(self):
-        with pytest.raises(StationaryDirectionError):
-            min_norm_direction(np.array([0.0, 3.0, 0.0]), [1])
-        # the exception is a ValueError so generic handlers catch it
-        assert issubclass(StationaryDirectionError, ValueError)
-
-    def test_all_free_is_scaled_anchor(self):
-        a = np.array([3.0, 4.0])
-        x = min_norm_direction(a, np.zeros(2, dtype=bool))
-        np.testing.assert_allclose(x, a / 25.0)
 
 
 class TestProjections:

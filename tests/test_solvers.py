@@ -268,8 +268,6 @@ class TestRNeg:
             rneg_solve(op, rank=4)
         with pytest.raises(ValueError, match="h0"):
             rneg_solve(op, rank=1, h0=-0.1)
-        with pytest.raises(ValueError, match="beta_rej"):
-            rneg_solve(op, rank=1, beta_rej=1.5)
         with pytest.raises(ValueError, match="init"):
             rneg_solve(op, rank=1,
                        init=FactorPair(np.ones((3, 2)), np.ones((3, 2))))
