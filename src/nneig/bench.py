@@ -100,15 +100,13 @@ class ExperimentConfig:
     power_iters: int = 500_000
     power_damping: float = 0.5
     # rneg_h0 is the initial step of the sign-constrained flow (None = the
-    # operator default); the step then grows under a ceiling learned from
-    # rejected trials.  rneg_tol is its stationarity tolerance: the run
-    # stops once an unclamped step moves the factors by <= tol * h / h0.
+    # operator's default step, stiffness-derived on the growth families);
+    # the step then grows under a ceiling learned from rejected trials.
+    # rneg_tol is its stationarity tolerance: the run stops once an
+    # unclamped step moves the factors by <= tol * h / h0.
     rneg_h0: float | None = None
     rneg_tol: float = 1e-8
     rneg_nmax: int = 50_000
-    # None resolves per family.  The Hadamard growth operator's diffusion
-    # scale puts the operator default right at the explicit stability
-    # bound, so its family default drops to 1e-3.
     psi_h: float | None = None
     # the splitting integrator stops on per-step motion below tol*h, which
     # floors its error about a decade above tol on well-gapped operators;
@@ -118,7 +116,7 @@ class ExperimentConfig:
     # eigenvalues give the splitting integrator no stationary target, so
     # block grids and Hadamard growth get fixed budgets: a bounded stretch
     # is integrated from the warm start rather than waiting on a stop rule
-    # that cannot fire.
+    # that cannot fire.  Other families run to psi_solve's own budget.
     psi_steps: int | None = None
     # Initialization policy for the two ODE integrators.  "random" starts
     # them cold, "reference" seeds them from factorizations of the computed
@@ -279,11 +277,8 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
         rneg_init = psi_init = cfg.ode_init
     psi_steps = cfg.psi_steps
     if psi_steps is None:
-        psi_steps = {"block-grid": 100,
-                     "hadamard-growth": 30_000}.get(cfg.kind, 500_000)
-    psi_h = cfg.psi_h
-    if psi_h is None and cfg.kind == "hadamard-growth":
-        psi_h = 1e-3
+        psi_steps = {"block-grid": 100, "hadamard-growth": 30_000}.get(cfg.kind)
+    psi_budget = {} if psi_steps is None else {"max_steps": psi_steps}
     # power+nmf and the warm rneg start factor the same clipped reference;
     # the factorization runs once and its time is charged to both rows
     Xpos = np.maximum(ref.X, 0.0)
@@ -310,9 +305,8 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
             t0 = time.perf_counter()
             state = (_svd_state(ref.X, cfg.rank)
                      if psi_init == "reference" else None)
-            rep = psi_solve(op, cfg.rank, h=psi_h, tol=cfg.psi_tol,
-                            max_steps=psi_steps, seed=trial_seed,
-                            init=state)
+            rep = psi_solve(op, cfg.rank, h=cfg.psi_h, tol=cfg.psi_tol,
+                            seed=trial_seed, init=state, **psi_budget)
             dt = time.perf_counter() - t0
             rows.append(evaluate_against_reference(
                 op, rep.X, ref, "psi", dt, rep.converged))

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="validate a grid operator JSON")
     v.add_argument("operator")
-    v.add_argument("--verbose", action="store_true")
 
     s = sub.add_parser("solve", help="solve for the rightmost eigenpair")
     s.add_argument("operator")
@@ -79,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iters", type=int, default=None)
     s.add_argument("--h0", type=float, default=None,
                    help="initial step for rneg, fixed step for psi "
-                        "(default: operator family)")
+                        "(default: the operator's default step, derived "
+                        "from its stiffness bound on growth operators)")
     s.add_argument("--out", default=None, help="report JSON path")
     s.add_argument("--verbose", action="store_true",
                    help="include the per-step history of psi or rneg "
@@ -133,18 +133,18 @@ def _solve(args) -> int:
     if iters is not None and iters < 1:
         raise ConfigError(f"--max-iters must be at least 1, got {iters}")
     op = load_operator(args.operator)
+    # unset, each solver runs to its own default budget
+    key = {"psi": "max_steps", "rneg": "nmax"}.get(args.method, "max_iters")
+    budget = {} if iters is None else {key: iters}
     if args.method == "psi":
         rep = psi_solve(op, args.rank, h=args.h0, tol=args.tol,
-                        max_steps=500_000 if iters is None else iters,
-                        seed=args.seed, keep_history=args.verbose)
+                        seed=args.seed, keep_history=args.verbose, **budget)
     elif args.method == "rneg":
         rep = rneg_solve(op, args.rank, h0=args.h0, tol=args.tol,
-                         nmax=50_000 if iters is None else iters,
-                         seed=args.seed, keep_history=args.verbose)
+                         seed=args.seed, keep_history=args.verbose, **budget)
     else:
         # the reference and its compressions, as the bench computes them
-        rep = krylov_reference(op, tol=args.tol,
-                               max_iters=500_000 if iters is None else iters)
+        rep = krylov_reference(op, tol=args.tol, **budget)
         fields = {}
         if args.method != "power":
             fit = (nmf(np.maximum(rep.X, 0.0), args.rank, seed=args.seed)

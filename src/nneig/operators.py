@@ -24,6 +24,7 @@ too whenever the growth rate ``R`` has low numerical rank, since
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class LinearMatrixOperator:
         return F @ V, F.T @ U
 
     def default_step(self) -> float:
-        """Default integrator step size for this operator family."""
+        """Default integrator step size for this operator."""
         raise NotImplementedError
 
     def default_shift(self) -> float:
@@ -248,12 +249,48 @@ def grid_points(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-class HadamardGrowthOperator(LinearMatrixOperator):
-    """Diffusion plus entrywise growth: ``eps (A X + X A^T) + eps_r (R o X)``.
+# The growth families' default integrator step, as a fraction of the
+# explicit stability bound ``2 / default_shift()`` that their stiff
+# diffusion term sets: a 5x margin under the bound.
+STEP_FRACTION = 0.4
 
-    ``A`` must be Metzler (nonnegative off-diagonal); the growth rate ``R``
-    may change sign, so the operator is Metzler but does not itself map
-    nonnegative matrices to nonnegative matrices.
+
+class _GrowthDiffusionOperator(LinearMatrixOperator):
+    """Diffusion ``eps (A X + X A^T)`` with a square Metzler ``A``, plus the
+    subclass's growth term of strength ``eps_r``, bounded by its
+    ``_growth_shift()``.  The growth rate may change sign, so the operator
+    is Metzler but does not map nonnegative matrices to nonnegative ones.
+    """
+
+    preserves_nonnegativity = False
+    is_metzler = True
+
+    def __init__(self, A, eps: float, eps_r: float):
+        self.A = as_matrix(A, "diffusion matrix")
+        n = self.A.shape[0]
+        if self.A.shape[1] != n:
+            raise ValueError("diffusion matrix must be square")
+        off = self.A - np.diag(np.diag(self.A))
+        if np.any(off < 0):
+            raise ValueError("diffusion matrix must be Metzler")
+        self.eps = float(eps)
+        self.eps_r = float(eps_r)
+        if self.eps < 0 or self.eps_r < 0:
+            raise ValueError("eps and eps_r must be nonnegative")
+        self.shape = (n, n)
+
+    def default_shift(self) -> float:
+        return (self._growth_shift()
+                + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
+
+    def default_step(self) -> float:
+        # the zero operator has no stiffness bound
+        shift = self.default_shift()
+        return STEP_FRACTION / shift if shift > 0 else math.inf
+
+
+class HadamardGrowthOperator(_GrowthDiffusionOperator):
+    """Diffusion plus entrywise growth: ``eps (A X + X A^T) + eps_r (R o X)``.
 
     ``apply_factored`` forms the ``m x n`` product for the growth term
     only.  ``apply_projected`` writes the growth term through the truncated
@@ -267,23 +304,10 @@ class HadamardGrowthOperator(LinearMatrixOperator):
     kind = "hadamard-growth"
 
     def __init__(self, A, eps: float, eps_r: float, R):
-        self.A = as_matrix(A, "diffusion matrix")
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise ValueError("diffusion matrix must be square")
-        off = self.A - np.diag(np.diag(self.A))
-        if np.any(off < 0):
-            raise ValueError("diffusion matrix must be Metzler")
+        super().__init__(A, eps, eps_r)
         self.R = as_matrix(R, "growth rate")
-        if self.R.shape != (n, n):
+        if self.R.shape != self.shape:
             raise ValueError("growth rate must match the diffusion size")
-        self.eps = float(eps)
-        self.eps_r = float(eps_r)
-        if self.eps < 0 or self.eps_r < 0:
-            raise ValueError("eps and eps_r must be nonnegative")
-        self.shape = (n, n)
-        self.preserves_nonnegativity = False
-        self.is_metzler = True
         self._growth_factors = None
 
     @classmethod
@@ -337,15 +361,11 @@ class HadamardGrowthOperator(LinearMatrixOperator):
             (self.A @ V, (y[:, :, None] * V[:, None, :]).reshape(n, -1)), axis=1)
         return _project_image(P, Q, U, V)
 
-    def default_step(self) -> float:
-        return 5e-3
-
-    def default_shift(self) -> float:
-        return (self.eps_r * float(np.abs(self.R).max())
-                + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
+    def _growth_shift(self) -> float:
+        return self.eps_r * float(np.abs(self.R).max())
 
 
-class SeparableGrowthOperator(LinearMatrixOperator):
+class SeparableGrowthOperator(_GrowthDiffusionOperator):
     """Diffusion plus separable growth:
     ``eps (A X + X A^T) + r0 X + eps_r diag(phi) X diag(psi)``.
 
@@ -356,27 +376,15 @@ class SeparableGrowthOperator(LinearMatrixOperator):
     kind = "separable-growth"
 
     def __init__(self, A, eps: float, r0: float, eps_r: float, phi, psi):
-        self.A = as_matrix(A, "diffusion matrix")
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise ValueError("diffusion matrix must be square")
-        off = self.A - np.diag(np.diag(self.A))
-        if np.any(off < 0):
-            raise ValueError("diffusion matrix must be Metzler")
+        super().__init__(A, eps, eps_r)
+        n = self.shape[0]
         self.phi = np.asarray(phi, dtype=float).ravel()
         self.psi = np.asarray(psi, dtype=float).ravel()
         if self.phi.shape != (n,) or self.psi.shape != (n,):
             raise ValueError("modulations must be length-n vectors")
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
             raise ValueError("modulations contain non-finite entries")
-        self.eps = float(eps)
         self.r0 = float(r0)
-        self.eps_r = float(eps_r)
-        if self.eps < 0 or self.eps_r < 0:
-            raise ValueError("eps and eps_r must be nonnegative")
-        self.shape = (n, n)
-        self.preserves_nonnegativity = False
-        self.is_metzler = True
 
     @classmethod
     def standard(cls, n: int, r0: float = 0.3, eps: float = 0.1,
@@ -408,13 +416,9 @@ class SeparableGrowthOperator(LinearMatrixOperator):
         Q = np.concatenate((self.A @ V, self.psi[:, None] * V, V), axis=1)
         return _project_image(P, Q, U, V)
 
-    def default_step(self) -> float:
-        return 1e-4
-
-    def default_shift(self) -> float:
+    def _growth_shift(self) -> float:
         mod = float(np.abs(np.outer(self.phi, self.psi)).max())
-        return (self.eps_r * mod + abs(self.r0)
-                + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
+        return self.eps_r * mod + abs(self.r0)
 
 
 def rayleigh_value(op: LinearMatrixOperator, X: np.ndarray) -> float:
@@ -477,26 +481,15 @@ def operator_to_dict(op: LinearMatrixOperator) -> dict:
                 for w, A, B in op.terms
             ],
         }
-    if isinstance(op, HadamardGrowthOperator):
-        return {
-            "kind": op.kind,
-            "n": op.shape[0],
-            "eps": op.eps,
-            "eps_r": op.eps_r,
-            "diffusion": op.A.tolist(),
-            "growth": op.R.tolist(),
-        }
-    if isinstance(op, SeparableGrowthOperator):
-        return {
-            "kind": op.kind,
-            "n": op.shape[0],
-            "eps": op.eps,
-            "r0": op.r0,
-            "eps_r": op.eps_r,
-            "diffusion": op.A.tolist(),
-            "row_modulation": op.phi.tolist(),
-            "col_modulation": op.psi.tolist(),
-        }
+    if isinstance(op, _GrowthDiffusionOperator):
+        d = {"kind": op.kind, "n": op.shape[0], "eps": op.eps,
+             "eps_r": op.eps_r, "diffusion": op.A.tolist()}
+        if isinstance(op, HadamardGrowthOperator):
+            d["growth"] = op.R.tolist()
+        else:
+            d.update(r0=op.r0, row_modulation=op.phi.tolist(),
+                     col_modulation=op.psi.tolist())
+        return d
     raise TypeError(f"cannot serialize operator of type {type(op).__name__}")
 
 

@@ -141,6 +141,8 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     t0 = time.perf_counter()
     if not 0 <= damping < 1:
         raise ValueError("damping must lie in [0, 1)")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     sigma = op.default_shift() if shift is None else float(shift)
     m, n = op.shape
     if X0 is None:
@@ -216,6 +218,8 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     t0 = time.perf_counter()
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     m, n = op.shape
     size = m * n
     Q = np.empty((min(KRYLOV_BASIS, size), size))
@@ -378,6 +382,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     h_init = float(op.default_step() if h0 is None else h0)
     if not (np.isfinite(h_init) and h_init > 0):
         raise ValueError(f"h0 must be positive and finite, got {h_init}")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     rng = np.random.default_rng(seed)
     if init is None:
         U = rng.random((m, rank))
@@ -519,6 +525,8 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     step = float(op.default_step() if h is None else h)
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step size must be positive and finite, got {step}")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if init is None:
         rng = np.random.default_rng(seed)
         U, _ = thin_qr(rng.standard_normal((m, rank)))

@@ -301,6 +301,19 @@ class TestCLI:
         assert out.returncode == 1
         assert "--max-iters" in out.stderr
 
+    @pytest.mark.parametrize("method", KNOWN_METHODS)
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_solve_bad_tolerance_is_config_error(self, tmp_path, method, tol):
+        # NaN and negative tolerances are never met, and the solve must not
+        # spend its whole budget before saying so; an infinite one would
+        # report any start as converged
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "demo-path-walk", "--out", str(path))
+        out = run_cli("solve", str(path), "--method", method, "--tol", tol,
+                      timeout=60)
+        assert out.returncode == 1
+        assert "tol" in out.stderr
+
     def test_solve_rneg_reports_nonnegative(self, tmp_path):
         path = tmp_path / "op.json"
         run_cli("generate", "--kind", "demo-path-walk", "--out", str(path))

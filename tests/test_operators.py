@@ -255,6 +255,20 @@ class TestGrowthOperators:
                 Y = op.apply_full(X) + sigma * X
                 assert Y.min() >= -1e-12
 
+    @pytest.mark.parametrize("family", [HadamardGrowthOperator,
+                                        SeparableGrowthOperator])
+    @pytest.mark.parametrize("n", [9, 100, 400])
+    def test_default_step_under_stability_bound(self, family, n):
+        # the explicit step is stable up to about 2 / shift, and the
+        # diffusion part of the shift grows like n^2
+        op = family.standard(n)
+        assert op.default_step() * op.default_shift() <= 0.5
+
+    def test_zero_operator_has_no_default_step(self):
+        op = HadamardGrowthOperator(neumann_laplacian(4), 0.0, 0.0,
+                                    np.ones((4, 4)))
+        assert op.default_step() == np.inf
+
     def test_vectorize_rejects_growth(self):
         with pytest.raises(TypeError):
             vectorize_operator(HadamardGrowthOperator.standard(4))

@@ -397,6 +397,15 @@ class TestPSI:
         with pytest.raises(ValueError, match="step"):
             psi_solve(demo_path_walk(), rank=1, h=h)
 
+    def test_default_step_stable_on_hadamard_growth(self):
+        # the stiffness-derived default step keeps the explicit splitting
+        # stable where the diffusion term is stiffest among the shipped
+        # configs; a step at the stability bound ends far from the target
+        op = HadamardGrowthOperator.standard(100)
+        ref = krylov_reference(op, tol=1e-10)
+        rep = psi_solve(op, 3, max_steps=2000)
+        assert rep.eigenvalue == pytest.approx(ref.eigenvalue, abs=1e-2)
+
     def test_stop_reason(self):
         done = psi_solve(demo_path_walk(), rank=1, seed=0, tol=1e-10)
         assert done.converged and done.details["stop"] == "converged"
@@ -484,6 +493,20 @@ class TestProjectedImagePath:
         assert a.details["rejected"] == b.details["rejected"]
         assert np.abs(a.X - b.X).max() <= 1e-9
         assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda op, tol: power_reference(op, tol=tol),
+    lambda op, tol: krylov_reference(op, tol=tol),
+    lambda op, tol: psi_solve(op, 1, tol=tol),
+    lambda op, tol: rneg_solve(op, 1, tol=tol),
+], ids=["power", "krylov", "psi", "rneg"])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_bad_tolerance_rejected(solve, tol):
+    # a NaN or negative tolerance can never be met, so the solve would
+    # spend its whole budget; an infinite one is met by any iterate
+    with pytest.raises(ValueError, match="tol"):
+        solve(demo_path_walk(), tol)
 
 
 class TestResidual:
