@@ -18,7 +18,8 @@ from .operators import (HadamardGrowthOperator, LinearMatrixOperator,
 from .matcore import FactorPair
 # power_reference stays importable from here for callers that wrap the
 # module's solver names; the benchmark reference is krylov_reference
-from .solvers import (EigenReport, PSIState, krylov_reference,  # noqa: F401
+from .solvers import (EigenReport, PSIState, _check_budget,  # noqa: F401
+                      _check_step, _check_tol, krylov_reference,
                       power_reference, psi_solve, rneg_solve)
 
 __all__ = [
@@ -142,6 +143,15 @@ class ExperimentConfig:
             self.sizes = tuple(int(s) for s in self.sizes)
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        # the solvers' own checks, run before any trial builds an operator
+        for name in ("power_tol", "psi_tol", "rneg_tol"):
+            _check_tol(getattr(self, name), name)
+        for name in ("psi_h", "rneg_h0"):
+            if getattr(self, name) is not None:
+                _check_step(getattr(self, name), name)
+        for name in ("power_iters", "rneg_nmax", "psi_steps"):
+            if getattr(self, name) is not None:
+                _check_budget(getattr(self, name), name)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

@@ -25,8 +25,8 @@ from .lowrank import nmf
 from .markovgrid import demo_clustered_walk, demo_path_walk, validate_grid
 from .operators import (MarkovGridOperator, load_operator, rayleigh_value,
                         save_operator)
-from .solvers import (SolverError, krylov_reference, psi_solve, residual,
-                      rneg_solve)
+from .solvers import (SolverError, _check_budget, krylov_reference, psi_solve,
+                      residual, rneg_solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -39,6 +39,11 @@ DEMO_WALKS = {"demo-path-walk": demo_path_walk,
 
 class ConfigError(ValueError):
     pass
+
+
+def budget(text: str) -> int:
+    """``--max-iters``: an integer every solver accepts as its budget."""
+    return _check_budget(int(text), "--max-iters")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,15 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rank", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--max-iters", type=int, default=None)
+    s.add_argument("--max-iters", type=budget, default=None)
     s.add_argument("--h0", type=float, default=None,
                    help="initial step for rneg, fixed step for psi "
                         "(default: the operator's default step, derived "
                         "from its stiffness bound on growth operators)")
     s.add_argument("--out", default=None, help="report JSON path")
-    s.add_argument("--verbose", action="store_true",
-                   help="include the per-step history of psi or rneg "
-                        "in the report")
 
     b = sub.add_parser("bench", help="run a benchmark experiment config")
     b.add_argument("config")
@@ -129,22 +131,19 @@ def _validate(args) -> int:
 
 
 def _solve(args) -> int:
-    iters = args.max_iters
-    if iters is not None and iters < 1:
-        raise ConfigError(f"--max-iters must be at least 1, got {iters}")
     op = load_operator(args.operator)
     # unset, each solver runs to its own default budget
     key = {"psi": "max_steps", "rneg": "nmax"}.get(args.method, "max_iters")
-    budget = {} if iters is None else {key: iters}
+    limit = {} if args.max_iters is None else {key: args.max_iters}
     if args.method == "psi":
         rep = psi_solve(op, args.rank, h=args.h0, tol=args.tol,
-                        seed=args.seed, keep_history=args.verbose, **budget)
+                        seed=args.seed, **limit)
     elif args.method == "rneg":
         rep = rneg_solve(op, args.rank, h0=args.h0, tol=args.tol,
-                         seed=args.seed, keep_history=args.verbose, **budget)
+                         seed=args.seed, **limit)
     else:
         # the reference and its compressions, as the bench computes them
-        rep = krylov_reference(op, tol=args.tol, **budget)
+        rep = krylov_reference(op, tol=args.tol, **limit)
         fields = {}
         if args.method != "power":
             fit = (nmf(np.maximum(rep.X, 0.0), args.rank, seed=args.seed)
@@ -159,7 +158,7 @@ def _solve(args) -> int:
             fields = dict(X=X, eigenvalue=lam, residual=residual(op, X, lam),
                           neg_count=int(np.count_nonzero(X < 0)))
         rep = replace(rep, method=args.method, **fields)
-    payload = rep.to_dict(include_matrix=True, include_history=args.verbose)
+    payload = rep.to_dict(include_matrix=True)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh)

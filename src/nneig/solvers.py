@@ -20,7 +20,6 @@ from .operators import LinearMatrixOperator
 
 __all__ = [
     "SolverError",
-    "HistoryEntry",
     "EigenReport",
     "PSIState",
     "residual",
@@ -36,22 +35,21 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class HistoryEntry:
-    step: int
-    eigenvalue: float
-    residual: float
-    step_size: float
-    accepted: bool = True
-
-
-@dataclass
 class EigenReport:
     """Outcome of an eigenpair computation.
 
     ``X`` always has unit Frobenius norm; ``eigenvalue`` is the Rayleigh
     value of ``X`` under the operator, ``residual`` the Frobenius norm of
-    ``A(X) - eigenvalue * X``.  ``factors`` is set by the factored solver,
-    ``history`` only when the solver was asked to keep it.
+    ``A(X) - eigenvalue * X``.  ``iterations`` counts the solver's steps
+    (operator applications for the Krylov reference).  ``factors`` is set
+    by the sign-constrained solver, ``psi_state`` by the splitting one.
+
+    ``details`` is the record of how the solve ended: ``stop`` is
+    ``"converged"``, ``"budget"`` or (``rneg`` only) ``"stalled"``, and
+    ``converged == (stop == "converged")``.  The other keys are outcomes
+    and resolved defaults of the method: ``shift`` (power), ``basis``,
+    ``restarts``, ``breakdown`` (Krylov), ``h`` (psi), and ``h0``,
+    ``rejected``, ``h_min``, ``h_max`` (rneg).
     """
 
     method: str
@@ -64,11 +62,9 @@ class EigenReport:
     neg_count: int
     factors: FactorPair | None = None
     psi_state: "PSIState | None" = None
-    history: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self, include_matrix: bool = True,
-                include_history: bool = False) -> dict:
+    def to_dict(self, include_matrix: bool = True) -> dict:
         d = {
             "method": self.method,
             "eigenvalue": self.eigenvalue,
@@ -88,11 +84,6 @@ class EigenReport:
                 d["U"] = self.psi_state.U.tolist()
                 d["S"] = self.psi_state.S.tolist()
                 d["V"] = self.psi_state.V.tolist()
-        if include_history:
-            d["history"] = [
-                [h.step, h.eigenvalue, h.residual, h.step_size, h.accepted]
-                for h in self.history
-            ]
         return d
 
 
@@ -119,10 +110,30 @@ def _check_finite(lam: float, what: str) -> None:
         raise SolverError(f"{what} became non-finite")
 
 
+# input checks shared by the solvers and the bench config
+def _check_tol(tol: float, name: str = "tol") -> None:
+    # a NaN or negative tolerance is never met, an infinite one always
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+
+
+def _check_step(h: float, name: str) -> float:
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"{name} must be positive and finite, got {h}")
+    return h
+
+
+def _check_budget(budget: int, name: str) -> int:
+    if budget < 1:
+        raise ValueError(f"{name} must be at least 1, got {budget}")
+    return budget
+
+
 def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
                     max_iters: int = 500_000, shift: float | None = None,
-                    damping: float = 0.5, X0: np.ndarray | None = None,
-                    keep_history: bool = False) -> EigenReport:
+                    damping: float = 0.5,
+                    X0: np.ndarray | None = None) -> EigenReport:
     """Damped, shifted power iteration for the rightmost eigenpair.
 
     Iterates ``X <- (1 - damping) (A(X) + shift X) + damping X`` with
@@ -141,8 +152,8 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     t0 = time.perf_counter()
     if not 0 <= damping < 1:
         raise ValueError("damping must lie in [0, 1)")
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
+    _check_budget(max_iters, "max_iters")
     sigma = op.default_shift() if shift is None else float(shift)
     m, n = op.shape
     if X0 is None:
@@ -153,20 +164,14 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         if nrm == 0:
             raise ValueError("starting matrix must be nonzero")
         X /= nrm
-    history: list[HistoryEntry] = []
-    lam = 0.0
-    res = np.inf
-    converged = False
-    it = 0
+    stop = "budget"
     for it in range(1, max_iters + 1):
         Y = op.apply_full(X)
         lam = float(np.sum(Y * X))
         _check_finite(lam, "power iterate")
         res = float(np.linalg.norm(Y - lam * X))
-        if keep_history:
-            history.append(HistoryEntry(it, lam, res, damping))
         if res <= tol:
-            converged = True
+            stop = "converged"
             break
         Z = (1.0 - damping) * (Y + sigma * X) + damping * X
         nrm = float(np.linalg.norm(Z))
@@ -179,11 +184,10 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         X=X,
         residual=res,
         iterations=it,
-        converged=converged,
+        converged=stop == "converged",
         wall_time_s=time.perf_counter() - t0,
         neg_count=int(np.count_nonzero(X < 0)),
-        history=history,
-        details={"rng": "none", "shift": sigma, "damping": damping, "tol": tol},
+        details={"stop": stop, "shift": sigma},
     )
 
 
@@ -216,10 +220,8 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     ends early and its Ritz vector is an exact eigenvector up to roundoff.
     """
     t0 = time.perf_counter()
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
+    _check_budget(max_iters, "max_iters")
     m, n = op.shape
     size = m * n
     Q = np.empty((min(KRYLOV_BASIS, size), size))
@@ -229,13 +231,13 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     applies = 1
     restarts = 0
     breakdown = False
-    converged = False
+    stop = "budget"
     while True:
         lam = float(np.sum(Y * X))
         _check_finite(lam, "Krylov restart")
         res = float(np.linalg.norm(Y - lam * X))
         if res <= tol:
-            converged = True
+            stop = "converged"
             break
         k = min(Q.shape[0], max_iters - applies)
         if k < 2:
@@ -277,11 +279,11 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         X=X,
         residual=res,
         iterations=applies,
-        converged=converged,
+        converged=stop == "converged",
         wall_time_s=time.perf_counter() - t0,
         neg_count=int(np.count_nonzero(X < 0)),
-        details={"rng": "none", "basis": Q.shape[0], "restarts": restarts,
-                 "breakdown": breakdown, "tol": tol},
+        details={"stop": stop, "basis": Q.shape[0], "restarts": restarts,
+                 "breakdown": breakdown},
     )
 
 
@@ -328,8 +330,7 @@ MAX_REJECTS = 40
 
 def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
                tol: float = 1e-8, nmax: int = 50_000, seed: int = 0,
-               init: FactorPair | None = None,
-               keep_history: bool = False) -> EigenReport:
+               init: FactorPair | None = None) -> EigenReport:
     """Nonnegative rank-``rank`` eigenpair by explicit integration of the
     sign-constrained eigenvalue flow on the factors (RNeg).
 
@@ -379,11 +380,9 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     m, n = op.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
-    h_init = float(op.default_step() if h0 is None else h0)
-    if not (np.isfinite(h_init) and h_init > 0):
-        raise ValueError(f"h0 must be positive and finite, got {h_init}")
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    h_init = _check_step(op.default_step() if h0 is None else h0, "h0")
+    _check_tol(tol)
+    _check_budget(nmax, "nmax")
     rng = np.random.default_rng(seed)
     if init is None:
         U = rng.random((m, rank))
@@ -404,7 +403,6 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     h_ceil = np.inf
     h_floor = 1e-16
     h_min, h_max = np.inf, 0.0
-    history: list[HistoryEntry] = []
     stop = "budget"
     accepted_steps = 0
     rejected = 0
@@ -430,15 +428,11 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             # the boundary; roundoff residues there would otherwise shrink
             # the next admissible step to nothing
             Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
-            lam_t = np.nan
             if _normalize(Wt, m):
                 lam_t, P_t, g_t = _flow_data(op, Wt, m)
                 if g_t <= ACCEPT_SLACK * base or rejects >= MAX_REJECTS:
                     break
             rejected += 1
-            if keep_history:
-                history.append(HistoryEntry(accepted_steps + 1, lam_t,
-                                            np.nan, h_use, accepted=False))
             rejects += 1
             h_ceil = min(h_ceil, h_use / BETA_ACC)
             h *= BETA_REJ
@@ -460,9 +454,6 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             _norm(Wt[:m] - W[:m]), _norm(Wt[m:] - W[m:])) <= tol * h_use / h_init
         W, lam, P, base = Wt, lam_t, P_t, g_t
         h = min(h * BETA_ACC, h_ceil)
-        if keep_history:
-            res_now = residual(op, W[:m] @ W[m:].T, lam)
-            history.append(HistoryEntry(accepted_steps, lam, res_now, h_use))
         if settled:
             stop = "converged"
             break
@@ -480,10 +471,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         wall_time_s=time.perf_counter() - t0,
         neg_count=int(np.count_nonzero(X < 0)),
         factors=FactorPair(U, V),
-        history=history,
         details={
-            "rng": "PCG64", "seed": seed, "h0": h_init, "tol": tol,
-            "stop": stop, "rejected": rejected,
+            "stop": stop, "h0": h_init, "rejected": rejected,
             "h_min": h_min if accepted_steps else None,
             "h_max": h_max if accepted_steps else None,
         },
@@ -492,8 +481,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
 
 def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
               tol: float = 1e-8, max_steps: int = 500_000,
-              init: PSIState | None = None, seed: int = 0,
-              keep_history: bool = False) -> EigenReport:
+              init: PSIState | None = None, seed: int = 0) -> EigenReport:
     """Rank-``rank`` eigenpair by a first-order projector-splitting
     integrator (PSI) applied to the eigenvalue flow.
 
@@ -522,11 +510,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     m, n = op.shape
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
-    step = float(op.default_step() if h is None else h)
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step size must be positive and finite, got {step}")
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    step = _check_step(op.default_step() if h is None else h, "step size h")
+    _check_tol(tol)
+    _check_budget(max_steps, "max_steps")
     if init is None:
         rng = np.random.default_rng(seed)
         U, _ = thin_qr(rng.standard_normal((m, rank)))
@@ -546,10 +532,8 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         _check_finite(rho, "splitting iterate")
         return FV, FtU, rho
 
-    history: list[HistoryEntry] = []
     X_prev = U @ S @ V.T
-    converged = False
-    k = 0
+    stop = "budget"
     for k in range(1, max_steps + 1):
         # K-step
         US = U @ S
@@ -569,11 +553,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         U, S, V = U1, S1t.T / s_nrm, V1
         X = U @ S @ V.T
         delta = _norm(X - X_prev)
-        if keep_history:
-            history.append(HistoryEntry(k, rho, delta / step, step))
         X_prev = X
         if delta <= tol * step:
-            converged = True
+            stop = "converged"
             break
 
     # the factored state has a global sign gauge (the flow is odd, so X and
@@ -592,11 +574,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         X=X_prev,
         residual=res,
         iterations=k,
-        converged=converged,
+        converged=stop == "converged",
         wall_time_s=time.perf_counter() - t0,
         neg_count=int(np.count_nonzero(X_prev < 0)),
         psi_state=PSIState(U, S, V),
-        history=history,
-        details={"rng": "PCG64", "seed": seed, "h": step, "tol": tol,
-                 "stop": "converged" if converged else "budget"},
+        details={"stop": stop, "h": step},
     )

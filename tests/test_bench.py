@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from nneig import bench
+from nneig.cli import main
 from nneig.bench import (
     CSV_HEADER,
     KNOWN_METHODS,
@@ -33,7 +34,8 @@ from nneig.markovgrid import demo_path_walk
 from nneig.operators import load_operator
 from nneig.solvers import krylov_reference, power_reference
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -80,6 +82,22 @@ class TestExperimentConfig:
     def test_from_json_rejects_non_object(self):
         with pytest.raises((ValueError, TypeError)):
             ExperimentConfig.from_json("[1, 2]")
+
+    @pytest.mark.parametrize("name,value", [
+        ("power_tol", np.nan), ("psi_tol", -1.0), ("rneg_tol", np.inf),
+        ("psi_h", 0.0), ("rneg_h0", np.nan), ("power_iters", 0),
+        ("rneg_nmax", 0), ("psi_steps", -1),
+    ])
+    def test_bad_solver_knob_rejected(self, name, value):
+        # the knob is checked as the solver checks it, and named
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(kind="random-grid", n=4, rank=1, **{name: value})
+
+    @pytest.mark.parametrize("path", sorted(
+        (ROOT / "perfbench" / "workloads").glob("*.json")),
+        ids=lambda p: p.stem)
+    def test_benchmark_workloads_load(self, path):
+        assert ExperimentConfig.from_json(path.read_text()).trials >= 1
 
 
 class TestEvaluateAgainstReference:
@@ -375,6 +393,23 @@ class TestCLI:
         cfg_path.write_text(json.dumps({"kind": "banded", "n": 4, "rank": 1}))
         out = run_cli("bench", str(cfg_path))
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("knobs", [
+        {"rneg_nmax": 0, "psi_steps": -3},
+        {"psi_tol": float("nan")},
+    ], ids=["budgets", "nan-tol"])
+    def test_bench_bad_solver_knob_fails_before_any_trial(
+            self, tmp_path, monkeypatch, knobs):
+        # a knob no solver accepts is a config error before any trial
+        # spends time on its operator and reference
+        built = []
+        monkeypatch.setattr(bench, "build_operator",
+                            lambda *args: built.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"kind": "random-grid", "n": 6, "rank": 1, **knobs}))
+        assert main(["bench", str(cfg_path)]) == 1
+        assert built == []
 
     def test_bench_malformed_json_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
