@@ -20,7 +20,7 @@ from .matcore import FactorPair
 # module's solver names; the benchmark reference is krylov_reference
 from .solvers import (EigenReport, PSIState, _check_budget,  # noqa: F401
                       _check_step, _check_tol, krylov_reference,
-                      power_reference, psi_solve, rneg_solve)
+                      power_reference, psi_solve, rayleigh, rneg_solve)
 
 __all__ = [
     "KNOWN_METHODS",
@@ -223,9 +223,7 @@ def evaluate_against_reference(op: LinearMatrixOperator, X,
     Xn = X / nrm
     if float(np.sum(Xn * ref.X)) < 0:
         Xn = -Xn
-    Y = op.apply_full(Xn)
-    lam = float(np.sum(Y * Xn))
-    res = float(np.linalg.norm(Y - lam * Xn))
+    lam, res = rayleigh(op, Xn)
     return MetricsRow(
         method=method,
         time_s=time_s,

@@ -23,10 +23,9 @@ from .bench import (KINDS, KNOWN_METHODS, ExperimentConfig, aggregate,
                     run_experiment)
 from .lowrank import nmf
 from .markovgrid import demo_clustered_walk, demo_path_walk, validate_grid
-from .operators import (MarkovGridOperator, load_operator, rayleigh_value,
-                        save_operator)
+from .operators import MarkovGridOperator, load_operator, save_operator
 from .solvers import (SolverError, _check_budget, krylov_reference, psi_solve,
-                      residual, rneg_solve)
+                      rayleigh, rneg_solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,10 +34,6 @@ EXIT_IO = 3
 
 DEMO_WALKS = {"demo-path-walk": demo_path_walk,
               "demo-clustered-walk": demo_clustered_walk}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def budget(text: str) -> int:
@@ -119,7 +114,7 @@ def _generate(args) -> int:
 def _validate(args) -> int:
     op = load_operator(args.operator)
     if not isinstance(op, MarkovGridOperator):
-        raise ConfigError("validation applies to grid operators only")
+        raise ValueError("validation applies to grid operators only")
     report = validate_grid(op)
     if report.ok:
         print("PASS: valid probabilistic grid")
@@ -154,8 +149,8 @@ def _solve(args) -> int:
                 raise SolverError("low-rank compression of the reference "
                                   "is zero")
             X = X / nrm
-            lam = rayleigh_value(op, X)
-            fields = dict(X=X, eigenvalue=lam, residual=residual(op, X, lam),
+            lam, res = rayleigh(op, X)
+            fields = dict(X=X, eigenvalue=lam, residual=res,
                           neg_count=int(np.count_nonzero(X < 0)))
         rep = replace(rep, method=args.method, **fields)
     payload = rep.to_dict(include_matrix=True)
@@ -171,13 +166,7 @@ def _solve(args) -> int:
 
 def _bench(args) -> int:
     with open(args.config) as fh:
-        text = fh.read()
-    try:
-        cfg = ExperimentConfig.from_json(text)
-    except json.JSONDecodeError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        cfg = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
         cfg.seed = args.seed
     per_trial = run_experiment(cfg, verbose=args.verbose)
@@ -210,7 +199,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -25,12 +25,10 @@ class SVDTriple:
 
 @dataclass
 class NMFResult:
-    """Factors of a nonnegative approximation ``W @ H`` and the per-sweep
-    relative error history."""
+    """Factors of a nonnegative approximation ``W @ H``."""
 
     W: np.ndarray
     H: np.ndarray
-    rel_errors: np.ndarray
 
 
 def truncated_svd(M, r: int) -> SVDTriple:
@@ -79,8 +77,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     Returns
     -------
     NMFResult
-        Factors ``W`` (m x r), ``H`` (r x n), both entrywise nonnegative,
-        and the relative error after each sweep.
+        Factors ``W`` (m x r), ``H`` (r x n), both entrywise nonnegative.
 
     Notes
     -----
@@ -96,8 +93,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
         raise ValueError("input must be entrywise nonnegative")
     nrm = float(np.linalg.norm(M))
     if nrm == 0.0:
-        return NMFResult(np.zeros((m, r)), np.zeros((r, n)),
-                         np.zeros(n_iters))
+        return NMFResult(np.zeros((m, r)), np.zeros((r, n)))
     rng = np.random.default_rng(seed)
     W = rng.random((m, r))
     H = rng.random((r, n))
@@ -105,8 +101,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     W *= scale
     H *= scale
     tiny = np.finfo(float).tiny
-    errs = np.empty(n_iters)
-    for sweep in range(n_iters):
+    for _ in range(n_iters):
         HHt = H @ H.T
         MHt = M @ H.T
         for j in range(r):
@@ -121,8 +116,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
             if d > tiny:
                 H[j, :] = np.maximum(H[j, :] + (WtM[j, :] - WtW[j, :] @ H) / d,
                                      0.0)
-        errs[sweep] = np.linalg.norm(M - W @ H) / nrm
-    return NMFResult(W, H, errs)
+    return NMFResult(W, H)
 
 
 def best_scaled_error(X, Xstar) -> float:

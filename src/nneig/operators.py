@@ -37,7 +37,6 @@ __all__ = [
     "SeparableGrowthOperator",
     "neumann_laplacian",
     "grid_points",
-    "rayleigh_value",
     "flow_field",
     "vectorize_operator",
     "operator_to_dict",
@@ -50,20 +49,10 @@ __all__ = [
 class LinearMatrixOperator:
     """Common interface for the operator families.
 
-    Subclasses set ``shape`` (the shape of matrices the operator acts on)
-    and the two structural flags, which are declared from the construction
-    parameters rather than detected numerically:
-
-    * ``preserves_nonnegativity`` -- maps entrywise-nonnegative matrices to
-      entrywise-nonnegative matrices;
-    * ``is_metzler`` -- the similarly-vectorized operator matrix has
-      nonnegative off-diagonal entries, so the induced flow keeps the
-      nonnegative orthant invariant even when the operator itself does not.
+    Subclasses set ``shape``, the shape of matrices the operator acts on.
     """
 
     shape: tuple[int, int]
-    preserves_nonnegativity: bool
-    is_metzler: bool
     kind: str
 
     def apply_full(self, X: np.ndarray) -> np.ndarray:
@@ -131,11 +120,6 @@ class MarkovGridOperator(LinearMatrixOperator):
             parsed.append((w, A, B))
         self.terms = parsed
         self.shape = (m, n)
-        nonneg = all(
-            w >= 0 and np.all(A >= 0) and np.all(B >= 0) for w, A, B in parsed
-        )
-        self.preserves_nonnegativity = nonneg
-        self.is_metzler = nonneg
         self._split_terms()
 
     def _split_terms(self) -> None:
@@ -261,9 +245,6 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
     ``_growth_shift()``.  The growth rate may change sign, so the operator
     is Metzler but does not map nonnegative matrices to nonnegative ones.
     """
-
-    preserves_nonnegativity = False
-    is_metzler = True
 
     def __init__(self, A, eps: float, eps_r: float):
         self.A = as_matrix(A, "diffusion matrix")
@@ -419,11 +400,6 @@ class SeparableGrowthOperator(_GrowthDiffusionOperator):
     def _growth_shift(self) -> float:
         mod = float(np.abs(np.outer(self.phi, self.psi)).max())
         return self.eps_r * mod + abs(self.r0)
-
-
-def rayleigh_value(op: LinearMatrixOperator, X: np.ndarray) -> float:
-    """Rayleigh functional ``<A(X), X>`` of a unit-Frobenius-norm matrix."""
-    return frobenius_inner(op.apply_full(X), X)
 
 
 def flow_field(op: LinearMatrixOperator, X: np.ndarray):

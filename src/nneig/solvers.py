@@ -22,7 +22,7 @@ __all__ = [
     "SolverError",
     "EigenReport",
     "PSIState",
-    "residual",
+    "rayleigh",
     "power_reference",
     "krylov_reference",
     "rneg_solve",
@@ -38,11 +38,14 @@ class SolverError(RuntimeError):
 class EigenReport:
     """Outcome of an eigenpair computation.
 
-    ``X`` always has unit Frobenius norm; ``eigenvalue`` is the Rayleigh
-    value of ``X`` under the operator, ``residual`` the Frobenius norm of
-    ``A(X) - eigenvalue * X``.  ``iterations`` counts the solver's steps
-    (operator applications for the Krylov reference).  ``factors`` is set
-    by the sign-constrained solver, ``psi_state`` by the splitting one.
+    ``X`` always has unit Frobenius norm, and the fields that describe it
+    are read off this ``X`` however the solve ended, a budget stop
+    included: ``eigenvalue`` is its Rayleigh value ``<A(X), X>``,
+    ``residual`` the Frobenius norm of ``A(X) - eigenvalue * X`` (both from
+    :func:`rayleigh`) and ``neg_count`` its number of negative entries.
+    ``iterations`` counts the solver's steps (operator applications for
+    the Krylov reference).  ``factors`` is set by the sign-constrained
+    solver, ``psi_state`` by the splitting one.
 
     ``details`` is the record of how the solve ended: ``stop`` is
     ``"converged"``, ``"budget"`` or (``rneg`` only) ``"stalled"``, and
@@ -99,15 +102,45 @@ class PSIState:
         return self.U @ self.S @ self.V.T
 
 
-def residual(op: LinearMatrixOperator, X: np.ndarray, lam: float) -> float:
-    """Frobenius norm of ``A(X) - lam X``."""
-    X = np.asarray(X, dtype=float)
-    return float(np.linalg.norm(op.apply_full(X) - lam * X))
+def rayleigh(op: LinearMatrixOperator, X: np.ndarray,
+             Y: np.ndarray | None = None) -> tuple[float, float]:
+    """Rayleigh value ``lam = <A(X), X>`` of a unit-Frobenius-norm ``X``
+    and its residual ``||A(X) - lam X||_F``.
+
+    Both come from one image ``Y = A(X)``: the one passed by a caller that
+    already holds it, else one ``op.apply_full``.
+    """
+    if Y is None:
+        Y = op.apply_full(X)
+    lam = float(np.sum(Y * X))
+    return lam, float(np.linalg.norm(Y - lam * X))
 
 
 def _check_finite(lam: float, what: str) -> None:
     if not np.isfinite(lam):
         raise SolverError(f"{what} became non-finite")
+
+
+def _report(method: str, op: LinearMatrixOperator, X: np.ndarray, t0: float,
+            iterations: int, stop: str, details: dict,
+            Y: np.ndarray | None = None, **state) -> EigenReport:
+    """The report of a solve that returns ``X`` and ended on ``stop``,
+    built as :class:`EigenReport` says.  ``Y`` is ``A(X)`` if the solver
+    holds it; ``state`` carries its ``factors`` or ``psi_state``."""
+    lam, res = rayleigh(op, X, Y)
+    _check_finite(lam, f"{method} eigenvalue")
+    return EigenReport(
+        method=method,
+        eigenvalue=lam,
+        X=X,
+        residual=res,
+        iterations=iterations,
+        converged=stop == "converged",
+        wall_time_s=time.perf_counter() - t0,
+        neg_count=int(np.count_nonzero(X < 0)),
+        details={"stop": stop, **details},
+        **state,
+    )
 
 
 # input checks shared by the solvers and the bench config
@@ -130,31 +163,33 @@ def _check_budget(budget: int, name: str) -> int:
     return budget
 
 
+# weight of the identity in the power_reference step; a positive one keeps
+# the iteration from cycling on periodic chains
+POWER_DAMPING = 0.5
+
+
 def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
-                    max_iters: int = 500_000, shift: float | None = None,
-                    damping: float = 0.5,
+                    max_iters: int = 500_000,
                     X0: np.ndarray | None = None) -> EigenReport:
     """Damped, shifted power iteration for the rightmost eigenpair.
 
-    Iterates ``X <- (1 - damping) (A(X) + shift X) + damping X`` with
-    Frobenius renormalization.  For nonnegativity-preserving operators the
-    default ``shift=None`` resolves to the operator's stored shift (zero
-    for probabilistic grids), making the iteration map the nonnegative
-    orthant to itself; the damping term handles periodic chains.  The
-    reported eigenvalue is always that of the *unshifted* operator.
+    Iterates ``X <- (1 - d) (A(X) + shift X) + d X`` with Frobenius
+    renormalization, damping ``d = POWER_DAMPING`` and the operator's
+    ``default_shift()`` (zero for probabilistic grids), which makes the
+    iteration map the nonnegative orthant to itself; the damping term
+    handles periodic chains.  The reported eigenvalue is always that of
+    the *unshifted* operator, and ``details["shift"]`` the shift used.
 
     Convergence is declared when ``||A(X) - rho X||_F <= tol``.  If the
-    budget runs out first, the best (last) iterate is returned with
+    budget runs out first, the last iterate is returned with
     ``converged=False``; this is the expected behavior when the rightmost
     eigenvalues are nearly degenerate, in which case the Rayleigh value is
     still accurate to about the degeneracy gap.
     """
     t0 = time.perf_counter()
-    if not 0 <= damping < 1:
-        raise ValueError("damping must lie in [0, 1)")
     _check_tol(tol)
     _check_budget(max_iters, "max_iters")
-    sigma = op.default_shift() if shift is None else float(shift)
+    sigma = op.default_shift()
     m, n = op.shape
     if X0 is None:
         X = np.full((m, n), 1.0 / np.sqrt(m * n))
@@ -167,28 +202,17 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     stop = "budget"
     for it in range(1, max_iters + 1):
         Y = op.apply_full(X)
-        lam = float(np.sum(Y * X))
+        lam, res = rayleigh(op, X, Y)
         _check_finite(lam, "power iterate")
-        res = float(np.linalg.norm(Y - lam * X))
         if res <= tol:
             stop = "converged"
             break
-        Z = (1.0 - damping) * (Y + sigma * X) + damping * X
+        Z = (1.0 - POWER_DAMPING) * (Y + sigma * X) + POWER_DAMPING * X
         nrm = float(np.linalg.norm(Z))
         if nrm == 0.0 or not np.isfinite(nrm):
             raise SolverError("power iterate vanished or blew up")
         X = Z / nrm
-    return EigenReport(
-        method="power",
-        eigenvalue=lam,
-        X=X,
-        residual=res,
-        iterations=it,
-        converged=stop == "converged",
-        wall_time_s=time.perf_counter() - t0,
-        neg_count=int(np.count_nonzero(X < 0)),
-        details={"stop": stop, "shift": sigma},
-    )
+    return _report("power", op, X, t0, it, stop, {"shift": sigma})
 
 
 # Arnoldi basis size of krylov_reference.  A larger basis cuts the restarts
@@ -233,9 +257,8 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     breakdown = False
     stop = "budget"
     while True:
-        lam = float(np.sum(Y * X))
+        lam, res = rayleigh(op, X, Y)
         _check_finite(lam, "Krylov restart")
-        res = float(np.linalg.norm(Y - lam * X))
         if res <= tol:
             stop = "converged"
             break
@@ -273,18 +296,9 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         Y = op.apply_full(X)
         applies += 1
         restarts += 1
-    return EigenReport(
-        method="krylov",
-        eigenvalue=lam,
-        X=X,
-        residual=res,
-        iterations=applies,
-        converged=stop == "converged",
-        wall_time_s=time.perf_counter() - t0,
-        neg_count=int(np.count_nonzero(X < 0)),
-        details={"stop": stop, "basis": Q.shape[0], "restarts": restarts,
-                 "breakdown": breakdown},
-    )
+    return _report("krylov", op, X, t0, applies, stop,
+                   {"basis": Q.shape[0], "restarts": restarts,
+                    "breakdown": breakdown}, Y=Y)
 
 
 def _normalize(W: np.ndarray, m: int) -> bool:
@@ -300,9 +314,9 @@ def _normalize(W: np.ndarray, m: int) -> bool:
 def _flow_data(op: LinearMatrixOperator, W: np.ndarray, m: int):
     """Constrained flow data at normalized nonnegative factors ``W = [U; V]``.
 
-    Returns the Rayleigh value, the gradients of the flow ``A(X) - rho X``
-    pushed onto each factor, stacked like ``W`` and projected onto the
-    directions feasible at ``W``, and the joint norm of the projection.
+    Returns the gradients of the flow ``A(X) - rho X`` pushed onto each
+    factor, stacked like ``W`` and projected onto the directions feasible
+    at ``W``, and the joint norm of the projection.
     """
     U, V = W[:m], W[m:]
     FV, FtU = op.apply_projected(U, V)
@@ -312,7 +326,7 @@ def _flow_data(op: LinearMatrixOperator, W: np.ndarray, m: int):
     np.subtract(FV, lam * (U @ (V.T @ V)), out=G[:m])
     np.subtract(FtU, lam * (V @ (U.T @ U)), out=G[m:])
     P = project_feasible_direction(W, G)
-    return lam, P, _norm(P)
+    return P, _norm(P)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -397,7 +411,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     if not _normalize(W, m):
         raise ValueError("initial factors have zero product")
 
-    lam, P, _ = _flow_data(op, W, m)
+    P, _ = _flow_data(op, W, m)
     base = np.inf
     h = h_init
     h_ceil = np.inf
@@ -429,7 +443,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             # the next admissible step to nothing
             Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
             if _normalize(Wt, m):
-                lam_t, P_t, g_t = _flow_data(op, Wt, m)
+                P_t, g_t = _flow_data(op, Wt, m)
                 if g_t <= ACCEPT_SLACK * base or rejects >= MAX_REJECTS:
                     break
             rejected += 1
@@ -452,31 +466,18 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         # is still moving.
         settled = h_use == h and max(
             _norm(Wt[:m] - W[:m]), _norm(Wt[m:] - W[m:])) <= tol * h_use / h_init
-        W, lam, P, base = Wt, lam_t, P_t, g_t
+        W, P, base = Wt, P_t, g_t
         h = min(h * BETA_ACC, h_ceil)
         if settled:
             stop = "converged"
             break
 
     U, V = W[:m], W[m:]
-    X = U @ V.T
-    res = residual(op, X, lam)
-    return EigenReport(
-        method="rneg",
-        eigenvalue=lam,
-        X=X,
-        residual=res,
-        iterations=accepted_steps,
-        converged=stop == "converged",
-        wall_time_s=time.perf_counter() - t0,
-        neg_count=int(np.count_nonzero(X < 0)),
-        factors=FactorPair(U, V),
-        details={
-            "stop": stop, "h0": h_init, "rejected": rejected,
-            "h_min": h_min if accepted_steps else None,
-            "h_max": h_max if accepted_steps else None,
-        },
-    )
+    return _report("rneg", op, U @ V.T, t0, accepted_steps, stop, {
+        "h0": h_init, "rejected": rejected,
+        "h_min": h_min if accepted_steps else None,
+        "h_max": h_max if accepted_steps else None,
+    }, factors=FactorPair(U, V))
 
 
 def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
@@ -564,19 +565,5 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     if float(np.sum(X_prev)) < 0:
         S = -S
         X_prev = -X_prev
-    F = op.apply_factored(U @ S, V)
-    rho = float(np.sum(F * X_prev))
-    _check_finite(rho, "splitting iterate")
-    res = float(np.linalg.norm(F - rho * X_prev))
-    return EigenReport(
-        method="psi",
-        eigenvalue=rho,
-        X=X_prev,
-        residual=res,
-        iterations=k,
-        converged=stop == "converged",
-        wall_time_s=time.perf_counter() - t0,
-        neg_count=int(np.count_nonzero(X_prev < 0)),
-        psi_state=PSIState(U, S, V),
-        details={"stop": stop, "h": step},
-    )
+    return _report("psi", op, X_prev, t0, k, stop, {"h": step},
+                   Y=op.apply_factored(U @ S, V), psi_state=PSIState(U, S, V))

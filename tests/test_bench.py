@@ -277,6 +277,14 @@ class TestCLI:
         assert out.returncode == 1
         assert "FAIL" in out.stdout
 
+    def test_validate_rejects_growth_operator(self, tmp_path):
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "hadamard-growth", "--n", "6",
+                "--out", str(path))
+        out = run_cli("validate", str(path))
+        assert out.returncode == 1
+        assert "grid operators only" in out.stderr
+
     def test_solve_power(self, tmp_path):
         path = tmp_path / "op.json"
         run_cli("generate", "--kind", "demo-path-walk", "--out", str(path))

@@ -24,10 +24,10 @@ from nneig.operators import (
     neumann_laplacian,
     operator_from_dict,
     operator_to_dict,
-    rayleigh_value,
     save_operator,
     vectorize_operator,
 )
+from nneig.solvers import rayleigh
 
 # two-sided symmetric walk on the 3-cycle-with-reflecting-ends chain:
 # left/right moves each with probability 1/2
@@ -131,7 +131,6 @@ class TestMarkovGridOperator:
 
     def test_nonnegativity_preserved(self):
         op = self.make_random(7)
-        assert op.preserves_nonnegativity
         rng = np.random.default_rng(8)
         X = rng.random(op.shape)
         assert np.all(op.apply_full(X) >= 0)
@@ -238,11 +237,6 @@ class TestGrowthOperators:
             op.apply_factored(U, V), op.apply_full(U @ V.T), atol=1e-10
         )
 
-    def test_metzler_flags(self):
-        assert HadamardGrowthOperator.standard(6).is_metzler
-        assert SeparableGrowthOperator.standard(6).is_metzler
-        assert not HadamardGrowthOperator.standard(6).preserves_nonnegativity
-
     def test_shift_makes_iteration_nonnegative(self):
         # shifted operator X -> A(X) + sigma X maps the positive cone to
         # itself; spot-check on random nonnegative inputs
@@ -284,7 +278,7 @@ class TestFlowField:
             X /= np.linalg.norm(X)
             G, rho = flow_field(op, X)
             assert abs(np.sum(G * X)) < 1e-12
-            assert rho == pytest.approx(rayleigh_value(op, X))
+            assert rho == pytest.approx(rayleigh(op, X)[0])
 
     def test_vanishes_at_eigenmatrix(self):
         op = demo_path_walk()

@@ -33,7 +33,7 @@ from nneig.solvers import (
     krylov_reference,
     power_reference,
     psi_solve,
-    residual,
+    rayleigh,
     rneg_solve,
 )
 
@@ -89,7 +89,7 @@ class TestPowerReference:
     def test_residual_field_consistent(self):
         rep = power_reference(demo_clustered_walk(), tol=1e-10)
         assert rep.residual == pytest.approx(
-            residual(demo_clustered_walk(), rep.X, rep.eigenvalue), abs=1e-14)
+            rayleigh(demo_clustered_walk(), rep.X)[1], abs=1e-14)
         assert rep.residual <= 1e-10
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -115,10 +115,6 @@ class TestPowerReference:
         assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-12)
         assert rep.X.sum() > 0
 
-    def test_damping_validation(self):
-        with pytest.raises(ValueError, match="damping"):
-            power_reference(demo_path_walk(), damping=1.0)
-
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             power_reference(demo_path_walk(), X0=np.zeros((3, 3)))
@@ -143,8 +139,8 @@ class TestKrylovReference:
         rep = krylov_reference(op, tol=1e-11)
         assert rep.converged
         assert rep.residual <= 1e-11
-        assert rep.residual == pytest.approx(
-            residual(op, rep.X, rep.eigenvalue), abs=1e-14)
+        assert rep.residual == pytest.approx(rayleigh(op, rep.X)[1],
+                                             abs=1e-14)
         assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-12)
         assert rep.X.sum() > 0
         power = power_reference(op, tol=1e-11)
@@ -164,8 +160,8 @@ class TestKrylovReference:
         rep = krylov_reference(op, tol=1e-14, max_iters=7)
         assert not rep.converged
         assert rep.iterations <= 7
-        assert rep.residual == pytest.approx(
-            residual(op, rep.X, rep.eigenvalue), abs=1e-14)
+        assert rep.residual == pytest.approx(rayleigh(op, rep.X)[1],
+                                             abs=1e-14)
 
     def test_basis_capped_by_matrix_size(self):
         # m * n = 9 is below KRYLOV_BASIS = 10: the first cycle spans the
@@ -414,8 +410,6 @@ class AssembledImage(LinearMatrixOperator):
     def __init__(self, op):
         self.op = op
         self.shape = op.shape
-        self.preserves_nonnegativity = op.preserves_nonnegativity
-        self.is_metzler = op.is_metzler
 
     def apply_full(self, X):
         return self.op.apply_full(X)
@@ -526,27 +520,40 @@ def test_bad_budget_rejected(solve, budget):
         solve(demo_path_walk(), budget)
 
 
-@pytest.mark.parametrize("solve,key", [
-    (lambda **kw: power_reference(demo_path_walk(), tol=1e-10, **kw),
+@pytest.mark.parametrize("make,solve,key", [
+    (demo_path_walk, lambda op, **kw: power_reference(op, tol=1e-10, **kw),
      "max_iters"),
-    (lambda **kw: krylov_reference(SeparableGrowthOperator.standard(9),
-                                   tol=1e-11, **kw), "max_iters"),
-    (lambda **kw: psi_solve(demo_path_walk(), 1, tol=1e-10, **kw),
+    (lambda: SeparableGrowthOperator.standard(9),
+     lambda op, **kw: krylov_reference(op, tol=1e-11, **kw), "max_iters"),
+    (demo_path_walk, lambda op, **kw: psi_solve(op, 1, tol=1e-10, **kw),
      "max_steps"),
-    (lambda **kw: rneg_solve(demo_path_walk(), 1, **kw), "nmax"),
+    (demo_path_walk, lambda op, **kw: rneg_solve(op, 1, **kw), "nmax"),
 ], ids=["power", "krylov", "psi", "rneg"])
 @pytest.mark.parametrize("stop", ["converged", "budget"])
-def test_stop_reason(solve, key, stop):
-    rep = solve(**({key: 3} if stop == "budget" else {}))
+def test_stop_reason(make, solve, key, stop):
+    # the report describes the X it returns, also when the budget ran out
+    op = make()
+    rep = solve(op, **({key: 3} if stop == "budget" else {}))
     assert rep.details["stop"] == stop
     assert rep.converged == (stop == "converged")
+    Y = op.apply_full(rep.X)
+    lam = np.sum(Y * rep.X)
+    assert rep.eigenvalue == pytest.approx(lam, abs=1e-14)
+    assert rep.residual == pytest.approx(np.linalg.norm(Y - lam * rep.X),
+                                         abs=1e-14)
+    assert rep.neg_count == np.count_nonzero(rep.X < 0)
 
 
-class TestResidual:
+class TestRayleigh:
     def test_matches_manual_norm(self):
         op = demo_path_walk()
         rng = np.random.default_rng(3)
         X = rng.random((3, 3))
-        lam = 0.7
-        want = np.linalg.norm(op.apply_full(X) - lam * X)
-        assert residual(op, X, lam) == pytest.approx(want, rel=1e-14)
+        X /= np.linalg.norm(X)
+        Y = op.apply_full(X)
+        lam = np.sum(Y * X)
+        want = (lam, np.linalg.norm(Y - lam * X))
+        assert rayleigh(op, X) == pytest.approx(want, rel=1e-14)
+        # a caller holding the image passes it instead
+        assert rayleigh(op, X, 2 * Y) == pytest.approx(
+            (2 * lam, 2 * want[1]), rel=1e-14)
