@@ -67,7 +67,9 @@ class ExperimentConfig:
     that do not apply to the chosen kind are ignored.  ``None`` solver
     knobs resolve to family defaults at run time.  Trial ``i`` derives its
     generation and solver seeds from ``seed + i`` (PCG64), so a config
-    JSON pins the whole run.
+    JSON pins the whole run.  ``rank`` must lie in ``[1, size]`` for the
+    operator size: ``sum(sizes)`` on a block grid with ``sizes``, else
+    ``n``.
 
     The ``power`` row is the reference eigenpair from
     :func:`~nneig.solvers.krylov_reference`: ``power_tol`` is its residual
@@ -134,6 +136,8 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.methods = tuple(self.methods)
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -141,6 +145,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown ode_init {self.ode_init!r}")
         if self.sizes is not None:
             self.sizes = tuple(int(s) for s in self.sizes)
+        size = self.n
+        if self.kind == "block-grid" and self.sizes is not None:
+            size = sum(self.sizes)
+        if not 1 <= self.rank <= size:
+            raise ValueError(f"rank must lie in [1, {size}], the operator "
+                             f"size, got {self.rank}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         # the solvers' own checks, run before any trial builds an operator

@@ -171,12 +171,3 @@ class FactorPair:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.U.shape[0], self.V.shape[0])
-
-    def product(self) -> np.ndarray:
-        """The represented matrix ``U @ V.T``."""
-        return self.U @ self.V.T
-
-    def product_norm(self) -> float:
-        """Frobenius norm of ``U @ V.T`` computed through the Gram matrices."""
-        g = float(np.sum((self.U.T @ self.U) * (self.V.T @ self.V)))
-        return float(np.sqrt(max(g, 0.0)))

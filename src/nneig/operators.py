@@ -1,23 +1,25 @@
 """Matrix-valued linear operators and their factored evaluations.
 
-Three operator families are provided:
+Two operator classes are provided:
 
 * :class:`MarkovGridOperator` -- weighted sums of two-sided transition maps
   ``X -> sum_p w_p A_p^T X B_p`` built from row-stochastic (or more generally
   nonnegative) matrix pairs;
-* :class:`HadamardGrowthOperator` -- diffusion plus an entrywise growth rate,
-  ``X -> eps (A X + X A^T) + eps_r (R o X)``;
-* :class:`SeparableGrowthOperator` -- diffusion plus a separable growth rate,
-  ``X -> eps (A X + X A^T) + r0 X + eps_r diag(phi) X diag(psi)``.
+* growth-diffusion operators ``X -> eps (A X + X A^T) + g (G o X)``:
+  diffusion plus an entrywise growth rate.  Two families parametrize them:
+  :class:`HadamardGrowthOperator`, ``eps (A X + X A^T) + eps_r (R o X)``,
+  and :class:`SeparableGrowthOperator`,
+  ``eps (A X + X A^T) + r0 X + eps_r diag(phi) X diag(psi)``, which is the
+  same form at the rank-two rate ``G = r0 + eps_r phi psi^T``.
 
 Each operator evaluates either on a dense matrix (``apply_full``) or directly
 on a low-rank factor pair (``apply_factored``), where the input product
 ``U @ V.T`` is never formed except for the entrywise growth term.  The
 factored solvers only need the image projected back onto the factors,
 ``A(U V^T) V`` and ``A(U V^T)^T U``, which ``apply_projected`` returns.  On
-the two growth families it never forms an ``m x n`` matrix: the image is
-itself a sum of low-rank products, and the entrywise growth term is one
-too whenever the growth rate ``R`` has low numerical rank, since
+the growth-diffusion operators it never forms an ``m x n`` matrix: the
+image is itself a sum of low-rank products, and the entrywise growth term
+is one too whenever the growth rate ``G`` has low numerical rank, since
 ``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by column.
 """
 
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from .matcore import as_matrix, frobenius_inner
+from .matcore import as_matrix
 
 __all__ = [
     "LinearMatrixOperator",
@@ -37,7 +39,6 @@ __all__ = [
     "SeparableGrowthOperator",
     "neumann_laplacian",
     "grid_points",
-    "flow_field",
     "vectorize_operator",
     "operator_to_dict",
     "operator_from_dict",
@@ -240,11 +241,23 @@ STEP_FRACTION = 0.4
 
 
 class _GrowthDiffusionOperator(LinearMatrixOperator):
-    """Diffusion ``eps (A X + X A^T)`` with a square Metzler ``A``, plus the
-    subclass's growth term of strength ``eps_r``, bounded by its
-    ``_growth_shift()``.  The growth rate may change sign, so the operator
-    is Metzler but does not map nonnegative matrices to nonnegative ones.
+    """Diffusion plus entrywise growth, ``eps (A X + X A^T) + g (G o X)``,
+    with a square Metzler ``A``; each subclass sets the growth scale ``g``
+    and rate ``G`` from its own parameters.  The growth rate may change
+    sign, so the operator is Metzler but does not map nonnegative matrices
+    to nonnegative ones.
+
+    ``apply_factored`` forms the ``m x n`` product for the growth term
+    only.  ``apply_projected`` writes the growth term through the truncated
+    SVD ``G = sum_l a_l b_l^T`` of numerical rank ``q`` (the default
+    tolerance of ``np.linalg.matrix_rank``) as a product of width
+    ``(2 + q) r`` with the diffusion term, and falls back to the assembled
+    image when that width is not below ``n``.  The SVD runs on the first
+    call and is cached on the operator.
     """
+
+    g: float
+    G: np.ndarray
 
     def __init__(self, A, eps: float, eps_r: float):
         self.A = as_matrix(A, "diffusion matrix")
@@ -259,70 +272,31 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         if self.eps < 0 or self.eps_r < 0:
             raise ValueError("eps and eps_r must be nonnegative")
         self.shape = (n, n)
-
-    def default_shift(self) -> float:
-        return (self._growth_shift()
-                + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
-
-    def default_step(self) -> float:
-        # the zero operator has no stiffness bound
-        shift = self.default_shift()
-        return STEP_FRACTION / shift if shift > 0 else math.inf
-
-
-class HadamardGrowthOperator(_GrowthDiffusionOperator):
-    """Diffusion plus entrywise growth: ``eps (A X + X A^T) + eps_r (R o X)``.
-
-    ``apply_factored`` forms the ``m x n`` product for the growth term
-    only.  ``apply_projected`` writes the growth term through the truncated
-    SVD ``R = sum_l a_l b_l^T`` of numerical rank ``q`` (the default
-    tolerance of ``np.linalg.matrix_rank``) as a product of width
-    ``(2 + q) r`` with the diffusion term, and falls back to the assembled
-    image when that width is not below ``n``.  The SVD runs on the first
-    call and is cached on the operator.
-    """
-
-    kind = "hadamard-growth"
-
-    def __init__(self, A, eps: float, eps_r: float, R):
-        super().__init__(A, eps, eps_r)
-        self.R = as_matrix(R, "growth rate")
-        if self.R.shape != self.shape:
-            raise ValueError("growth rate must match the diffusion size")
         self._growth_factors = None
-
-    @classmethod
-    def standard(cls, n: int, r0: float = 0.1, eps: float = 0.01,
-                 eps_r: float = 3 * np.pi) -> "HadamardGrowthOperator":
-        """Reflecting diffusion on the unit square with growth rate
-        ``r0 + sin(2 pi x) cos(2 pi y)`` sampled on the uniform grid."""
-        x = grid_points(n)
-        R = r0 + np.outer(np.sin(2 * np.pi * x), np.cos(2 * np.pi * x))
-        return cls(neumann_laplacian(n), eps, eps_r, R)
 
     def apply_full(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return self.eps * (self.A @ X + X @ self.A.T) + self.eps_r * (self.R * X)
+        return self.eps * (self.A @ X + X @ self.A.T) + self.g * (self.G * X)
 
     def apply_factored(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
         P = U @ V.T  # needed by the entrywise term only
         return self.eps * ((self.A @ U) @ V.T + U @ (self.A @ V).T) \
-            + self.eps_r * (self.R * P)
+            + self.g * (self.G * P)
 
     def _growth(self):
         # columns x, y such that A(U V^T) = P Q^T with the blocks
         # P = [x_0 o U, .., x_q o U, A U], Q = [A V, y_0 o V, .., y_q o V]
-        # for x = [eps, eps_r s_1 a_1, ..] and y = [b_1, .., b_q, eps]
+        # for x = [eps, g s_1 a_1, ..] and y = [b_1, .., b_q, eps]
         if self._growth_factors is None:
-            a, s, bt = np.linalg.svd(self.R)
+            a, s, bt = np.linalg.svd(self.G)
             q = int(np.count_nonzero(
                 s > s.max(initial=0.0) * max(self.shape) * np.finfo(float).eps))
             n = self.shape[0]
             x = np.empty((n, q + 1))
             x[:, 0] = self.eps
-            x[:, 1:] = a[:, :q] * (self.eps_r * s[:q])
+            x[:, 1:] = a[:, :q] * (self.g * s[:q])
             y = np.empty((n, q + 1))
             y[:, :q] = bt[:q].T
             y[:, q] = self.eps
@@ -342,16 +316,45 @@ class HadamardGrowthOperator(_GrowthDiffusionOperator):
             (self.A @ V, (y[:, :, None] * V[:, None, :]).reshape(n, -1)), axis=1)
         return _project_image(P, Q, U, V)
 
-    def _growth_shift(self) -> float:
-        return self.eps_r * float(np.abs(self.R).max())
+    def default_shift(self) -> float:
+        return (self.g * float(np.abs(self.G).max())
+                + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
+
+    def default_step(self) -> float:
+        # the zero operator has no stiffness bound
+        shift = self.default_shift()
+        return STEP_FRACTION / shift if shift > 0 else math.inf
+
+
+class HadamardGrowthOperator(_GrowthDiffusionOperator):
+    """Diffusion plus entrywise growth: ``eps (A X + X A^T) + eps_r (R o X)``,
+    the growth-diffusion form at ``(g, G) = (eps_r, R)``."""
+
+    kind = "hadamard-growth"
+
+    def __init__(self, A, eps: float, eps_r: float, R):
+        super().__init__(A, eps, eps_r)
+        self.R = as_matrix(R, "growth rate")
+        if self.R.shape != self.shape:
+            raise ValueError("growth rate must match the diffusion size")
+        self.g, self.G = self.eps_r, self.R
+
+    @classmethod
+    def standard(cls, n: int, r0: float = 0.1, eps: float = 0.01,
+                 eps_r: float = 3 * np.pi) -> "HadamardGrowthOperator":
+        """Reflecting diffusion on the unit square with growth rate
+        ``r0 + sin(2 pi x) cos(2 pi y)`` sampled on the uniform grid."""
+        x = grid_points(n)
+        R = r0 + np.outer(np.sin(2 * np.pi * x), np.cos(2 * np.pi * x))
+        return cls(neumann_laplacian(n), eps, eps_r, R)
 
 
 class SeparableGrowthOperator(_GrowthDiffusionOperator):
     """Diffusion plus separable growth:
     ``eps (A X + X A^T) + r0 X + eps_r diag(phi) X diag(psi)``.
 
-    The growth modulation acts by row scaling with ``phi`` and column
-    scaling with ``psi``, which factored evaluation exploits directly.
+    This is the growth-diffusion form at ``g = 1`` and the rank-two rate
+    ``G = r0 + eps_r phi psi^T``.
     """
 
     kind = "separable-growth"
@@ -366,6 +369,7 @@ class SeparableGrowthOperator(_GrowthDiffusionOperator):
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
             raise ValueError("modulations contain non-finite entries")
         self.r0 = float(r0)
+        self.g, self.G = 1.0, self.r0 + self.eps_r * np.outer(self.phi, self.psi)
 
     @classmethod
     def standard(cls, n: int, r0: float = 0.3, eps: float = 0.1,
@@ -376,51 +380,6 @@ class SeparableGrowthOperator(_GrowthDiffusionOperator):
         phi = 0.3 * np.sin(3 * np.pi * x)
         psi = 0.2 * np.cos(np.pi * x)
         return cls(neumann_laplacian(n), eps, r0, eps_r, phi, psi)
-
-    def apply_full(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (self.eps * (self.A @ X + X @ self.A.T) + self.r0 * X
-                + self.eps_r * (self.phi[:, None] * X * self.psi[None, :]))
-
-    def apply_factored(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        return (self.eps * ((self.A @ U) @ V.T + U @ (self.A @ V).T)
-                + self.r0 * (U @ V.T)
-                + self.eps_r * ((self.phi[:, None] * U) @ (self.psi[:, None] * V).T))
-
-    def apply_projected(self, U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        P = np.concatenate((self.eps * U, (self.eps_r * self.phi)[:, None] * U,
-                            self.eps * (self.A @ U) + self.r0 * U), axis=1)
-        Q = np.concatenate((self.A @ V, self.psi[:, None] * V, V), axis=1)
-        return _project_image(P, Q, U, V)
-
-    def _growth_shift(self) -> float:
-        mod = float(np.abs(np.outer(self.phi, self.psi)).max())
-        return self.eps_r * mod + abs(self.r0)
-
-
-def flow_field(op: LinearMatrixOperator, X: np.ndarray):
-    """Normalized eigenvalue flow ``G = A(X) - <A(X), X> X`` at ``X``.
-
-    ``X`` must have unit Frobenius norm (checked to 1e-8); the returned
-    field is tangent to the unit sphere, and its zeros are exactly the
-    eigenmatrices of the operator.
-
-    Returns
-    -------
-    (G, rho) : tuple
-        The flow direction and the Rayleigh value ``rho = <A(X), X>``.
-    """
-    X = np.asarray(X, dtype=float)
-    nrm = float(np.linalg.norm(X))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"flow field requires unit Frobenius norm, got {nrm!r}")
-    Y = op.apply_full(X)
-    rho = frobenius_inner(Y, X)
-    return Y - rho * X, rho
 
 
 def vectorize_operator(op: MarkovGridOperator) -> np.ndarray:

@@ -98,9 +98,6 @@ class PSIState:
     S: np.ndarray
     V: np.ndarray
 
-    def product(self) -> np.ndarray:
-        return self.U @ self.S @ self.V.T
-
 
 def rayleigh(op: LinearMatrixOperator, X: np.ndarray,
              Y: np.ndarray | None = None) -> tuple[float, float]:
@@ -520,6 +517,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         V, _ = thin_qr(rng.standard_normal((n, rank)))
         S = np.eye(rank) / np.sqrt(rank)
     else:
+        if (init.U.shape != (m, rank) or init.S.shape != (rank, rank)
+                or init.V.shape != (n, rank)):
+            raise ValueError("init state does not match operator/rank")
         U = init.U.copy()
         S = init.S.copy()
         V = init.V.copy()

@@ -86,12 +86,22 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name,value", [
         ("power_tol", np.nan), ("psi_tol", -1.0), ("rneg_tol", np.inf),
         ("psi_h", 0.0), ("rneg_h0", np.nan), ("power_iters", 0),
-        ("rneg_nmax", 0), ("psi_steps", -1),
+        ("rneg_nmax", 0), ("psi_steps", -1), ("methods", ()),
+        ("rank", 0), ("rank", 5),
     ])
     def test_bad_solver_knob_rejected(self, name, value):
-        # the knob is checked as the solver checks it, and named
+        # the field is checked at load, as the solver would check it, and
+        # named in the message
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig(kind="random-grid", n=4, rank=1, **{name: value})
+            ExperimentConfig(kind="random-grid", n=4, **{"rank": 1,
+                                                         name: value})
+
+    def test_rank_bounded_by_block_sizes(self):
+        # a block grid with explicit sizes has sum(sizes) rows, whatever n
+        cfg = dict(kind="block-grid", n=2, sizes=(3, 3))
+        assert ExperimentConfig(rank=6, **cfg).rank == 6
+        with pytest.raises(ValueError, match="rank"):
+            ExperimentConfig(rank=7, **cfg)
 
     @pytest.mark.parametrize("path", sorted(
         (ROOT / "perfbench" / "workloads").glob("*.json")),
@@ -405,7 +415,10 @@ class TestCLI:
     @pytest.mark.parametrize("knobs", [
         {"rneg_nmax": 0, "psi_steps": -3},
         {"psi_tol": float("nan")},
-    ], ids=["budgets", "nan-tol"])
+        {"methods": []},
+        {"rank": 0},
+        {"rank": 7},
+    ], ids=["budgets", "nan-tol", "no-methods", "rank-0", "rank-above-n"])
     def test_bench_bad_solver_knob_fails_before_any_trial(
             self, tmp_path, monkeypatch, knobs):
         # a knob no solver accepts is a config error before any trial

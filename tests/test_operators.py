@@ -18,7 +18,6 @@ from nneig.operators import (
     HadamardGrowthOperator,
     MarkovGridOperator,
     SeparableGrowthOperator,
-    flow_field,
     grid_points,
     load_operator,
     neumann_laplacian,
@@ -269,6 +268,13 @@ class TestGrowthOperators:
 
 
 class TestFlowField:
+    # the normalized eigenvalue flow G = A(X) - <A(X), X> X on the unit
+    # sphere, whose norm is the Rayleigh residual
+    @staticmethod
+    def flow(op, X):
+        lam, res = rayleigh(op, X)
+        return op.apply_full(X) - lam * X, lam, res
+
     def test_orthogonality_to_iterate(self):
         # the sphere-projected field is tangent: <G(X), X> = 0
         op = demo_path_walk()
@@ -276,23 +282,18 @@ class TestFlowField:
         for _ in range(25):
             X = rng.standard_normal((3, 3))
             X /= np.linalg.norm(X)
-            G, rho = flow_field(op, X)
+            G, _, res = self.flow(op, X)
             assert abs(np.sum(G * X)) < 1e-12
-            assert rho == pytest.approx(rayleigh(op, X)[0])
+            assert res == pytest.approx(np.linalg.norm(G))
 
     def test_vanishes_at_eigenmatrix(self):
         op = demo_path_walk()
         mu = np.array([1.0, 2.0, 1.0])
         X = np.outer(mu, mu)
         X /= np.linalg.norm(X)
-        G, rho = flow_field(op, X)
+        G, rho, _ = self.flow(op, X)
         assert rho == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(G) < 1e-14
-
-    def test_requires_unit_norm(self):
-        op = demo_path_walk()
-        with pytest.raises(ValueError):
-            flow_field(op, np.ones((3, 3)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -301,7 +302,7 @@ class TestFlowField:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((3, 3))
         X /= np.linalg.norm(X)
-        G, _ = flow_field(op, X)
+        G, _, _ = self.flow(op, X)
         assert abs(np.sum(G * X)) < 1e-11
 
 
@@ -418,16 +419,22 @@ class TestApplyProjected:
         # r0 + sin cos^T has numerical rank 2: eps plus two growth columns
         assert x.shape == y.shape == (40, 3)
         assert _full_rank_hadamard(40)._growth()[0].shape == (40, 41)
+        # the separable rate r0 + eps_r phi psi^T has rank two as well
+        x, y = SeparableGrowthOperator.standard(40)._growth()
+        assert x.shape == y.shape == (40, 3)
 
     def test_construction_defers_the_svd(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **k: calls.append(1) or svd(*a, **k))
-        op = HadamardGrowthOperator.standard(20)
-        HadamardGrowthOperator(op.A, op.eps, op.eps_r, op.R)
+        hadamard = HadamardGrowthOperator.standard(20)
+        HadamardGrowthOperator(hadamard.A, hadamard.eps, hadamard.eps_r,
+                               hadamard.R)
+        separable = SeparableGrowthOperator.standard(20)
         assert calls == []
         U = np.ones((20, 2))
-        op.apply_projected(U, U)
-        op.apply_projected(U, U)
-        assert calls == [1]
+        for op in (hadamard, separable):
+            op.apply_projected(U, U)
+            op.apply_projected(U, U)
+        assert calls == [1, 1]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nneig.bench import ExperimentConfig, _vertex_init, build_operator
 from nneig.lowrank import best_scaled_error, nmf
@@ -30,6 +31,7 @@ from nneig.operators import (
 )
 from nneig.solvers import (
     PSIState,
+    _normalize,
     krylov_reference,
     power_reference,
     psi_solve,
@@ -264,6 +266,18 @@ class TestRNeg:
             rneg_solve(op, rank=1,
                        init=FactorPair(np.ones((3, 2)), np.ones((3, 2))))
 
+    @given(arrays(float, (4, 2), elements=st.floats(0, 5)),
+           arrays(float, (3, 2), elements=st.floats(0, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_normalize_gram_norm_matches_dense(self, U, V):
+        # rneg scales its factors by the norm of U V^T taken through the
+        # Gram matrices, without forming U V^T
+        W = np.concatenate((U, V))
+        gram = 0.0
+        if _normalize(W, 4):
+            gram = (W.max() / max(U.max(), V.max())) ** -2
+        assert gram == pytest.approx(np.linalg.norm(U @ V.T), abs=1e-9)
+
     @pytest.mark.parametrize("h0", [np.inf, np.nan])
     def test_non_finite_step_rejected(self, h0):
         # the step-relative stop divides by h0
@@ -336,7 +350,8 @@ class TestPSI:
         st_ = rep.psi_state
         np.testing.assert_allclose(st_.U.T @ st_.U, np.eye(2), atol=1e-9)
         np.testing.assert_allclose(st_.V.T @ st_.V, np.eye(2), atol=1e-9)
-        np.testing.assert_allclose(rep.X, st_.product(), atol=1e-12)
+        np.testing.assert_allclose(rep.X, st_.U @ st_.S @ st_.V.T,
+                                   atol=1e-12)
 
     def test_clustered_walk_signed_limit(self):
         # the unconstrained rank-2 limit carries negative entries, like the
@@ -366,6 +381,20 @@ class TestPSI:
         rep = psi_solve(op, rank=1, init=state, tol=1e-10)
         assert rep.converged
         assert rep.iterations <= 10
+
+    def test_warm_start_shape_checked(self):
+        op = HadamardGrowthOperator.standard(9)
+        rng = np.random.default_rng(0)
+        U, _ = thin_qr(rng.standard_normal((9, 3)))
+        V, _ = thin_qr(rng.standard_normal((9, 3)))
+        state = PSIState(U, np.eye(3), V)
+        # a rank-3 state would otherwise run as a rank-3 solve
+        with pytest.raises(ValueError, match="init"):
+            psi_solve(op, rank=1, init=state)
+        with pytest.raises(ValueError, match="init"):
+            psi_solve(op, rank=3, init=PSIState(U[:8], np.eye(3), V))
+        with pytest.raises(ValueError, match="init"):
+            psi_solve(op, rank=3, init=PSIState(U, np.eye(3), V[:, :2]))
 
     def test_unit_norm_iterate(self):
         rep = psi_solve(demo_clustered_walk(), rank=2, seed=0)
