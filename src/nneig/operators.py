@@ -16,23 +16,27 @@ Each operator evaluates either on a dense matrix (``apply_full``) or directly
 on a low-rank factor pair (``apply_factored``), where the input product
 ``U @ V.T`` is never formed except for the entrywise growth term.  The
 factored solvers only need the image projected back onto the factors,
-``A(U V^T) V`` and ``A(U V^T)^T U``, which ``apply_projected`` returns.  On
-the growth-diffusion operators it never forms an ``m x n`` matrix: the
-image is itself a sum of low-rank products, and the entrywise growth term
-is one too whenever the growth rate ``G`` has low numerical rank, since
-``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by column.
+``A(U V^T) V`` and ``A(U V^T)^T U``, which ``apply_projected`` returns.  It
+never forms an ``m x n`` matrix when the operator has a narrow
+:class:`FactorForm`, column maps with ``A(U V^T) = left(U) @ right(V).T``:
+a grid whose terms are all dense has one, ``sum_p (w_p A_p^T U)(B_p^T V)^T``,
+and so does a growth-diffusion operator whenever its growth rate ``G`` has
+low numerical rank, since ``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by
+column.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .matcore import as_matrix
 
 __all__ = [
+    "FactorForm",
     "LinearMatrixOperator",
     "MarkovGridOperator",
     "HadamardGrowthOperator",
@@ -45,6 +49,20 @@ __all__ = [
     "save_operator",
     "load_operator",
 ]
+
+
+class FactorForm(NamedTuple):
+    """Column maps of an operator image in low-rank form,
+    ``A(U V^T) = left(U) @ right(V).T``.
+
+    Each map returns ``blocks`` blocks of its argument's width side by
+    side, and is linear in the columns of its argument:
+    ``left(U @ M) = left(U) @ kron(I_blocks, M)``, and likewise ``right``.
+    """
+
+    blocks: int
+    left: Callable[[np.ndarray], np.ndarray]
+    right: Callable[[np.ndarray], np.ndarray]
 
 
 class LinearMatrixOperator:
@@ -62,16 +80,36 @@ class LinearMatrixOperator:
     def apply_factored(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def factor_form(self) -> FactorForm | None:
+        """The operator's :class:`FactorForm`, built once per operator, or
+        None (the default) when its image has none."""
+        return None
+
+    def narrow_factor_form(self, rank: int) -> FactorForm | None:
+        """:meth:`factor_form` if its image at rank ``rank`` is narrower
+        than the matrices the operator acts on, else None."""
+        form = self.factor_form()
+        if form is None or form.blocks * rank >= min(self.shape):
+            return None
+        return form
+
     def apply_projected(self, U: np.ndarray,
                         V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The image ``F = A(U V^T)`` projected onto the factors:
         ``(F @ V, F.T @ U)``.
 
-        The default assembles ``F`` with one ``apply_factored`` call;
-        families whose image has a low-rank form override it.
+        Through the narrow factor form ``F = P Q^T`` when the operator has
+        one, never forming ``F``; otherwise ``F`` is assembled with one
+        ``apply_factored`` call.
         """
-        F = self.apply_factored(U, V)
-        return F @ V, F.T @ U
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        form = self.narrow_factor_form(U.shape[1])
+        if form is None:
+            F = self.apply_factored(U, V)
+            return F @ V, F.T @ U
+        P, Q = form.left(U), form.right(V)
+        return P @ (Q.T @ V), Q @ (P.T @ U)
 
     def default_step(self) -> float:
         """Default integrator step size for this operator."""
@@ -144,6 +182,10 @@ class MarkovGridOperator(LinearMatrixOperator):
                           if dense else None)
         self._dense_Bv = (np.concatenate([B for _, _, B in dense], axis=0)
                           if dense else None)
+        # only an all-dense grid has a factor form: folded sparse terms act
+        # on the assembled product
+        self._form = (FactorForm(len(dense), self._lift_left, self._lift_right)
+                      if not sparse_terms else None)
         if sparse_terms:
             from scipy import sparse
 
@@ -156,6 +198,19 @@ class MarkovGridOperator(LinearMatrixOperator):
             self._sparse_P = P
         else:
             self._sparse_P = None
+
+    def _lift_left(self, U: np.ndarray) -> np.ndarray:
+        # [w_1 A_1^T U, .., w_K A_K^T U]
+        return (self._dense_wAt @ U).transpose(1, 0, 2).reshape(
+            self.shape[0], -1)
+
+    def _lift_right(self, V: np.ndarray) -> np.ndarray:
+        # [B_1^T V, .., B_K^T V]
+        return (self._dense_Bt @ V).transpose(1, 0, 2).reshape(
+            self.shape[1], -1)
+
+    def factor_form(self) -> FactorForm | None:
+        return self._form
 
     def _apply_dense_terms(self, X: np.ndarray) -> np.ndarray:
         Z = self._dense_wAt @ X
@@ -185,10 +240,7 @@ class MarkovGridOperator(LinearMatrixOperator):
         V = np.asarray(V, dtype=float)
         out = None
         if self._dense_wAt is not None:
-            AU = self._dense_wAt @ U
-            BV = self._dense_Bt @ V
-            out = (AU.transpose(1, 0, 2).reshape(self.shape[0], -1)
-                   @ BV.transpose(1, 0, 2).reshape(self.shape[1], -1).T)
+            out = self._lift_left(U) @ self._lift_right(V).T
         if self._sparse_P is not None:
             ys = self._apply_sparse_terms(U @ V.T)
             out = ys if out is None else out + ys
@@ -199,12 +251,6 @@ class MarkovGridOperator(LinearMatrixOperator):
 
     def default_shift(self) -> float:
         return 0.0
-
-
-def _project_image(P: np.ndarray, Q: np.ndarray, U: np.ndarray,
-                   V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(F @ V, F.T @ U)`` for the image ``F = P @ Q.T``, never forming ``F``."""
-    return P @ (Q.T @ V), Q @ (P.T @ U)
 
 
 def neumann_laplacian(n: int) -> np.ndarray:
@@ -248,12 +294,11 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
     to nonnegative ones.
 
     ``apply_factored`` forms the ``m x n`` product for the growth term
-    only.  ``apply_projected`` writes the growth term through the truncated
+    only.  The factor form writes the growth term through the truncated
     SVD ``G = sum_l a_l b_l^T`` of numerical rank ``q`` (the default
-    tolerance of ``np.linalg.matrix_rank``) as a product of width
-    ``(2 + q) r`` with the diffusion term, and falls back to the assembled
-    image when that width is not below ``n``.  The SVD runs on the first
-    call and is cached on the operator.
+    tolerance of ``np.linalg.matrix_rank``), ``q + 2`` blocks with the
+    diffusion term.  The SVD runs on the first call of
+    :meth:`factor_form`, whose result is cached on the operator.
     """
 
     g: float
@@ -272,7 +317,7 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         if self.eps < 0 or self.eps_r < 0:
             raise ValueError("eps and eps_r must be nonnegative")
         self.shape = (n, n)
-        self._growth_factors = None
+        self._form = None
 
     def apply_full(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -285,36 +330,37 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         return self.eps * ((self.A @ U) @ V.T + U @ (self.A @ V).T) \
             + self.g * (self.G * P)
 
-    def _growth(self):
-        # columns x, y such that A(U V^T) = P Q^T with the blocks
-        # P = [x_0 o U, .., x_q o U, A U], Q = [A V, y_0 o V, .., y_q o V]
+    def factor_form(self) -> FactorForm:
+        # left(U) = [x_0 o U, .., x_q o U, A U] and
+        # right(V) = [A V, y_0 o V, .., y_q o V]
         # for x = [eps, g s_1 a_1, ..] and y = [b_1, .., b_q, eps]
-        if self._growth_factors is None:
+        if self._form is None:
             a, s, bt = np.linalg.svd(self.G)
             q = int(np.count_nonzero(
                 s > s.max(initial=0.0) * max(self.shape) * np.finfo(float).eps))
             n = self.shape[0]
+            A = self.A
             x = np.empty((n, q + 1))
             x[:, 0] = self.eps
             x[:, 1:] = a[:, :q] * (self.g * s[:q])
             y = np.empty((n, q + 1))
             y[:, :q] = bt[:q].T
             y[:, q] = self.eps
-            self._growth_factors = (x, y)
-        return self._growth_factors
 
-    def apply_projected(self, U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        x, y = self._growth()
-        n, r = U.shape
-        if (x.shape[1] + 1) * r >= n:
-            return super().apply_projected(U, V)
-        P = np.concatenate(
-            ((x[:, :, None] * U[:, None, :]).reshape(n, -1), self.A @ U), axis=1)
-        Q = np.concatenate(
-            (self.A @ V, (y[:, :, None] * V[:, None, :]).reshape(n, -1)), axis=1)
-        return _project_image(P, Q, U, V)
+            def left(U):
+                P = np.empty((n, q + 2, U.shape[1]))
+                np.multiply(x[:, :, None], U[:, None, :], out=P[:, :q + 1])
+                P[:, q + 1] = A @ U
+                return P.reshape(n, -1)
+
+            def right(V):
+                Q = np.empty((n, q + 2, V.shape[1]))
+                Q[:, 0] = A @ V
+                np.multiply(y[:, :, None], V[:, None, :], out=Q[:, 1:])
+                return Q.reshape(n, -1)
+
+            self._form = FactorForm(q + 2, left, right)
+        return self._form
 
     def default_shift(self) -> float:
         return (self.g * float(np.abs(self.G).max())

@@ -477,6 +477,20 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     }, factors=FactorPair(U, V))
 
 
+def _last(f):
+    """``f`` keeping its last result, which a repeat call on the same
+    array object returns without calling ``f`` again."""
+    arg = out = None
+
+    def cached(M):
+        nonlocal arg, out
+        if M is not arg:
+            arg, out = M, f(M)
+        return out
+
+    return cached
+
+
 def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
               tol: float = 1e-8, max_steps: int = 500_000,
               init: PSIState | None = None, seed: int = 0) -> EigenReport:
@@ -496,13 +510,23 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     fixed points.  No sign constraint is imposed anywhere, so the limit
     generally carries negative entries.
 
-    Each substep needs the image ``A(X)`` only projected onto the
-    factors, which ``op.apply_projected`` supplies; the L-step evaluates at
-    the factor pair ``(U, V S^T)``, whose product is ``X`` itself.
+    Each substep needs the image ``F = A(X)`` only projected onto the
+    factors.  When the operator has a narrow factor form
+    ``A(U S V^T) = L(U) bd(S) R(V)^T``, where ``bd(S)`` applies ``S`` to
+    each block, the images ``L(U)`` and ``R(V)`` are cached across substeps
+    and steps, so a step lifts only its new ``U`` and its new ``V``:
+
+    * K-step: ``F V = L(U) bd(S) D`` with ``D = R(V)^T V``;
+    * S-step: ``U1^T F V = E bd(S) D`` with ``E = U1^T L(U1)``;
+    * L-step: ``F^T U1 = R(V) bd(S^T) E^T``.
+
+    Otherwise every substep calls ``op.apply_projected``; the L-step
+    evaluates at the factor pair ``(U1, V S^T)``, whose product is ``X``.
 
     Stops when ``||X_{k+1} - X_k||_F <= tol * h``, or after ``max_steps``
     steps; ``details["stop"]`` says which (``"converged"`` or
-    ``"budget"``).
+    ``"budget"``).  A warm start whose core ``S`` is zero or not finite is
+    rejected with ValueError.
     """
     t0 = time.perf_counter()
     m, n = op.shape
@@ -520,33 +544,75 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         if (init.U.shape != (m, rank) or init.S.shape != (rank, rank)
                 or init.V.shape != (n, rank)):
             raise ValueError("init state does not match operator/rank")
+        s_nrm = float(np.linalg.norm(init.S))
+        if not (s_nrm > 0.0 and math.isfinite(s_nrm)):
+            raise ValueError("init core S must be nonzero and finite")
         U = init.U.copy()
-        S = init.S.copy()
+        S = init.S / s_nrm
         V = init.V.copy()
-        S /= np.linalg.norm(S)
 
-    def projected(U_, V_):
-        # A(X) for X = U_ V_^T projected onto both factors, and the
-        # Rayleigh value <A(X), X> = <A(X) V_, U_>; X is never formed
-        FV, FtU = op.apply_projected(U_, V_)
-        rho = float(np.vdot(FV, U_))
-        _check_finite(rho, "splitting iterate")
-        return FV, FtU, rho
+    # each substep's image at its iterate X, projected onto the factors,
+    # and the Rayleigh value <A(X), X>
+    form = op.narrow_factor_form(rank)
+    if form is None:
+        def projected(U_, V_):  # F V_, F^T U_ and <F, X> = <F V_, U_>
+            FV, FtU = op.apply_projected(U_, V_)
+            return FV, FtU, float(np.vdot(FV, U_))
+
+        def k_image(U, S, V, US):  # F V at X = U S V^T, US = U S
+            FV, _, rho = projected(US, V)
+            return FV, rho
+
+        def s_image(U1, S, V):  # U1^T F V at X = U1 S V^T
+            FV, _, rho = projected(U1 @ S, V)
+            return U1.T @ FV, rho
+
+        def l_image(U1, S, V, VS):  # F^T U1 at X = U1 S V^T, VS = V S^T
+            _, FtU, rho = projected(U1, VS)
+            return FtU, rho
+
+        def image(U, S, V):
+            return op.apply_factored(U @ S, V)
+    else:
+        K = form.blocks
+        left, right = _last(form.left), _last(form.right)
+        D = _last(lambda V: right(V).T @ V)
+        E = _last(lambda U: U.T @ left(U))
+
+        def bd(M, B):  # M applied to each of the K row blocks of B
+            return (M @ B.reshape(K, rank, -1)).reshape(B.shape)
+
+        def k_image(U, S, V, US):
+            FV = left(U) @ bd(S, D(V))
+            return FV, float(np.vdot(FV, US))
+
+        def s_image(U1, S, V):
+            UtFV = E(U1) @ bd(S, D(V))
+            return UtFV, float(np.vdot(UtFV, S))
+
+        def l_image(U1, S, V, VS):
+            FtU = right(V) @ bd(S.T, E(U1).T)
+            return FtU, float(np.vdot(FtU, VS))
+
+        def image(U, S, V):
+            return left(U) @ bd(S, right(V).T)
 
     X_prev = U @ S @ V.T
     stop = "budget"
     for k in range(1, max_steps + 1):
         # K-step
         US = U @ S
-        FV, _, rho = projected(US, V)
+        FV, rho = k_image(U, S, V, US)
+        _check_finite(rho, "splitting iterate")
         U1, S_hat = thin_qr(US + step * (FV - rho * US))
         # S-step (backward)
-        US = U1 @ S_hat
-        FV, _, rho = projected(US, V)
-        S_tilde = S_hat - step * (U1.T @ FV - rho * S_hat)
+        UtFV, rho = s_image(U1, S_hat, V)
+        _check_finite(rho, "splitting iterate")
+        S_tilde = S_hat - step * (UtFV - rho * S_hat)
         # L-step, at X = U1 (V S_tilde^T)^T
         VS = V @ S_tilde.T
-        _, FtU, rho = projected(U1, VS)
+        FtU, rho = l_image(U1, S_tilde, V, VS)
+        _check_finite(rho, "splitting iterate")
         V1, S1t = thin_qr(VS + step * (FtU - rho * VS))
         s_nrm = _norm(S1t)
         if s_nrm == 0.0 or not math.isfinite(s_nrm):
@@ -566,4 +632,4 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         S = -S
         X_prev = -X_prev
     return _report("psi", op, X_prev, t0, k, stop, {"h": step},
-                   Y=op.apply_factored(U @ S, V), psi_state=PSIState(U, S, V))
+                   Y=image(U, S, V), psi_state=PSIState(U, S, V))

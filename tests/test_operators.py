@@ -387,10 +387,51 @@ def _full_rank_hadamard(n=10):
                                   rng.standard_normal((n, n)))
 
 
+class TestFactorForm:
+    # every family whose image has a factor form
+    FAMILIES = {
+        "dense-grid": _dense_grid,
+        "hadamard": lambda: HadamardGrowthOperator.standard(10),
+        "separable": lambda: SeparableGrowthOperator.standard(10),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(arrays(float, (10, 2), elements=st.floats(0, 1, width=16)),
+           arrays(float, (10, 2), elements=st.floats(0, 1, width=16)),
+           arrays(float, (2, 2), elements=st.floats(-2, 2, width=16)))
+    @settings(max_examples=50, deadline=None)
+    def test_lifts_property(self, family, U, V, M):
+        op = self.FAMILIES[family]()
+        form = op.factor_form()
+        P, Q = form.left(U), form.right(V)
+        assert P.shape == Q.shape == (10, 2 * form.blocks)
+        F = op.apply_factored(U, V)
+        assert np.abs(P @ Q.T - F).max() <= 1e-12 * max(1.0, np.abs(F).max())
+        # column linearity: lift(U M) = lift(U) kron(I, M)
+        I_M = np.kron(np.eye(form.blocks), M)
+        for lift, W in ((form.left, U), (form.right, V)):
+            want = lift(W) @ I_M
+            assert (np.abs(lift(W @ M) - want).max()
+                    <= 1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_no_factor_form(self):
+        # folded sparse Kronecker terms act on the assembled product
+        assert _sparse_grid().factor_form() is None
+        mixed = MarkovGridOperator(_sparse_grid().terms + _dense_grid().terms)
+        assert mixed.factor_form() is None
+        # a form at least as wide as the matrix is not used
+        op = _full_rank_hadamard()
+        assert op.factor_form().blocks == 12
+        assert op.narrow_factor_form(1) is None
+        hadamard = HadamardGrowthOperator.standard(10)
+        assert hadamard.narrow_factor_form(2) is hadamard.factor_form()
+        assert hadamard.narrow_factor_form(3) is None
+
+
 class TestApplyProjected:
     # (builder, whether the projection assembles the image first)
     FAMILIES = {
-        "dense-grid": (_dense_grid, True),
+        "dense-grid": (_dense_grid, False),
         "sparse-grid": (_sparse_grid, True),
         "hadamard": (lambda: HadamardGrowthOperator.standard(10), False),
         "hadamard-full-rank-growth": (_full_rank_hadamard, True),
@@ -414,14 +455,12 @@ class TestApplyProjected:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_hadamard_growth_rank_from_svd(self):
-        op = HadamardGrowthOperator.standard(40)
-        x, y = op._growth()
-        # r0 + sin cos^T has numerical rank 2: eps plus two growth columns
-        assert x.shape == y.shape == (40, 3)
-        assert _full_rank_hadamard(40)._growth()[0].shape == (40, 41)
+        # r0 + sin cos^T has numerical rank 2: two diffusion blocks plus
+        # two growth blocks
+        assert HadamardGrowthOperator.standard(40).factor_form().blocks == 4
+        assert _full_rank_hadamard(40).factor_form().blocks == 42
         # the separable rate r0 + eps_r phi psi^T has rank two as well
-        x, y = SeparableGrowthOperator.standard(40)._growth()
-        assert x.shape == y.shape == (40, 3)
+        assert SeparableGrowthOperator.standard(40).factor_form().blocks == 4
 
     def test_construction_defers_the_svd(self, monkeypatch):
         calls = []

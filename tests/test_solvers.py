@@ -6,6 +6,8 @@ of the explicitly assembled operator matrix, built column by column from
 basis matrices without reusing any solver code.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,6 +398,19 @@ class TestPSI:
         with pytest.raises(ValueError, match="init"):
             psi_solve(op, rank=3, init=PSIState(U, np.eye(3), V[:, :2]))
 
+    @pytest.mark.parametrize("core", [0.0, np.nan, np.inf])
+    def test_warm_start_degenerate_core_rejected(self, core):
+        # rejected before the first step, without a division warning
+        rng = np.random.default_rng(0)
+        U, _ = thin_qr(rng.standard_normal((9, 2)))
+        V, _ = thin_qr(rng.standard_normal((9, 2)))
+        S = np.array([[core, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="core"):
+                psi_solve(HadamardGrowthOperator.standard(9), rank=2,
+                          init=PSIState(U, S, V))
+
     def test_unit_norm_iterate(self):
         rep = psi_solve(demo_clustered_walk(), rank=2, seed=0)
         assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-10)
@@ -434,7 +449,8 @@ class TestPSI:
 
 class AssembledImage(LinearMatrixOperator):
     """Delegates ``apply_full`` and ``apply_factored`` only, so the solvers
-    see the default ``apply_projected``, which assembles the image."""
+    see the default ``factor_form``, None, and ``apply_projected``
+    assembles the image."""
 
     def __init__(self, op):
         self.op = op
@@ -465,9 +481,37 @@ class CountedProjections(AssembledImage):
         return self.op.apply_projected(U, V)
 
 
+def _counted_form(op, calls):
+    """Make ``op``'s factor form count its lifts in ``calls`` and forbid
+    every other way of evaluating its image on factors."""
+    form = op.factor_form()
+
+    def counted(side, lift):
+        def run(M):
+            calls[side] += 1
+            return lift(M)
+        return run
+
+    counted_form = form._replace(left=counted("left", form.left),
+                                 right=counted("right", form.right))
+    op.factor_form = lambda: counted_form
+
+    def forbidden(*args):
+        raise AssertionError("the image was assembled or projected")
+
+    op.apply_projected = op.apply_factored = forbidden
+
+
 class TestProjectedImagePath:
-    """The factored projection of a low-rank growth rate drives both
-    factored solvers to the same iterates as the assembled image."""
+    """The factor form of an operator's image drives both factored solvers
+    to the same iterates as the assembled image."""
+
+    # families with a narrow factor form besides nonsymmetric_growth
+    FAMILIES = {
+        "separable": lambda: SeparableGrowthOperator.standard(30),
+        "random-grid": lambda: generate_random_grid(
+            RandomGridSpec(n=30, seed=5, family="shared-pair")),
+    }
 
     @staticmethod
     def nonsymmetric_growth(n=30):
@@ -478,7 +522,7 @@ class TestProjectedImagePath:
              + np.outer(x, x ** 2))
         base = HadamardGrowthOperator.standard(n)
         op = HadamardGrowthOperator(base.A, base.eps, base.eps_r, R)
-        assert op._growth()[0].shape[1] == 4  # the factored path is taken
+        assert op.narrow_factor_form(3).blocks == 5  # the factor form is used
         return op
 
     def test_psi_matches_assembled_image(self):
@@ -489,6 +533,39 @@ class TestProjectedImagePath:
         assert a.iterations == b.iterations == 200
         assert np.abs(a.X - b.X).max() <= 1e-9
         assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_psi_matches_assembled_image_family(self, family):
+        op = self.FAMILIES[family]()
+        assert op.narrow_factor_form(3) is not None
+        a = psi_solve(op, rank=3, max_steps=200, seed=3)
+        b = psi_solve(AssembledImage(op), rank=3, max_steps=200, seed=3)
+        assert a.iterations == b.iterations
+        assert np.abs(a.X - b.X).max() <= 1e-9
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rneg_matches_assembled_image_family(self, family):
+        op = self.FAMILIES[family]()
+        a = rneg_solve(op, rank=3, nmax=50, seed=3)
+        b = rneg_solve(AssembledImage(op), rank=3, nmax=50, seed=3)
+        assert a.iterations == b.iterations
+        assert a.details["rejected"] == b.details["rejected"]
+        assert np.abs(a.X - b.X).max() <= 1e-9
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["hadamard", *sorted(FAMILIES)])
+    def test_psi_lifts_each_factor_once_per_step(self, family):
+        # over k steps psi lifts U_0 .. U_k and V_0 .. V_k once each, the
+        # last V for the report's image, and never assembles or projects
+        op = (self.nonsymmetric_growth() if family == "hadamard"
+              else self.FAMILIES[family]())
+        calls = {"left": 0, "right": 0}
+        _counted_form(op, calls)
+        k = 7
+        rep = psi_solve(op, rank=3, max_steps=k, seed=1)
+        assert rep.iterations == k and not rep.converged
+        assert calls == {"left": k + 1, "right": k + 1}
 
     def test_psi_step_matches_dense_substeps(self):
         # one step against the three substeps written out on the dense
