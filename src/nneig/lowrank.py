@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import as_matrix, frobenius_inner
+from .solvers import _check_budget
 
 __all__ = ["SVDTriple", "NMFResult", "truncated_svd", "nmf", "best_scaled_error"]
 
@@ -53,6 +54,27 @@ def truncated_svd(M, r: int) -> SVDTriple:
     return SVDTriple(U[:, :r].copy(), s[:r].copy(), Vt[:r].copy())
 
 
+# stationarity tolerance of the HALS stop, relative to the residual
+NMF_STATIONARITY_TOL = 1e-4
+
+
+def _stationary(M: np.ndarray, W: np.ndarray, H: np.ndarray,
+                gW: np.ndarray, gH: np.ndarray) -> bool:
+    """``nmf``'s stop test at ``(W, H)`` with gradients ``gW``, ``gH``.
+
+    ``||R||`` is taken from ``W H - M`` itself: the Gram identity loses it
+    to cancellation below about 1e-8 ``||M||`` and would stop exact fits
+    early.
+    """
+    pg = 0.0
+    for X, G in ((W, gW), (H, gH)):
+        # a zero factor entry keeps only the negative part of its gradient
+        P = np.where(X > 0.0, G, np.minimum(G, 0.0))
+        pg += float(np.vdot(P, P))
+    return np.sqrt(pg) <= (NMF_STATIONARITY_TOL * np.linalg.norm(W @ H - M)
+                           * (np.linalg.norm(W) + np.linalg.norm(H)))
+
+
 def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     """Nonnegative matrix factorization ``M ~ W @ H`` by HALS updates.
 
@@ -62,6 +84,20 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     clipping at zero.  Every update solves its subproblem exactly, so the
     relative error is nonincreasing across sweeps.
 
+    The sweeps end at the first full sweep where the fit is stationary
+    relative to its own residual.  With ``R = W H - M`` the gradients are
+    ``R H^T`` and ``W^T R``; projected onto the feasible directions (an
+    entry counts in full where its factor entry is positive, and only by
+    its negative part where it is zero) their joint norm must satisfy
+    ``||P grad||_F <= tau ||R||_F (||W||_F + ||H||_F)`` with
+    ``tau = NMF_STATIONARITY_TOL = 1e-4``.  The right side bounds the
+    unprojected gradient, so the ratio lies in [0, 1] whatever the scale
+    of ``M``.  Scaling by the residual rather than by the initial
+    gradient keeps exact fits going: on an exactly factorable ``M`` the
+    gradient shrinks with ``R``, and the stop fires only at the roundoff
+    floor, while a fit with a nonzero optimal residual stops once its
+    gradient vanishes.
+
     Parameters
     ----------
     M : array_like, shape (m, n)
@@ -69,7 +105,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     r : int
         Number of factor columns.
     n_iters : int
-        Number of full (W, H) sweeps.
+        Budget of full (W, H) sweeps, at least 1.
     seed : int
         Seed for the uniform random initialization.  The initial factors
         are scaled so that ``||W @ H||_F`` matches ``||M||_F``.
@@ -83,12 +119,14 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     -----
     A factor column whose Gram diagonal underflows is left unchanged by
     that sweep, which keeps the error monotone in exact arithmetic.  The
-    zero matrix factors to zero with error zero.
+    zero matrix factors to zero with error zero.  A run with budget ``k``
+    is a prefix of any longer run with the same seed.
     """
     M = as_matrix(M, "input")
     m, n = M.shape
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must lie in [1, {min(m, n)}], got {r}")
+    _check_budget(n_iters, "n_iters")
     if np.any(M < 0):
         raise ValueError("input must be entrywise nonnegative")
     nrm = float(np.linalg.norm(M))
@@ -101,9 +139,13 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     W *= scale
     H *= scale
     tiny = np.finfo(float).tiny
-    for _ in range(n_iters):
+    for sweep in range(n_iters):
         HHt = H @ H.T
         MHt = M @ H.T
+        # the gradients at the current (W, H) reuse this sweep's HHt, MHt
+        # and the last sweep's WtW, WtM
+        if sweep and _stationary(M, W, H, W @ HHt - MHt, WtW @ H - WtM):
+            break
         for j in range(r):
             d = HHt[j, j]
             if d > tiny:

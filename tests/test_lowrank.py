@@ -102,14 +102,39 @@ class TestTruncatedSVD:
 
 def nmf_errors(M, r, sweeps, seed):
     """Relative error after each of the first ``sweeps`` sweeps.  ``nmf``
-    is deterministic given its seed, so a run of ``k`` sweeps stops at the
-    k-th sweep of any longer run."""
+    is deterministic given its seed, so a run with a budget of ``k``
+    sweeps stops at the k-th sweep of any longer run, or where its
+    stationarity stop fires first."""
     nrm = np.linalg.norm(M)
     errs = []
     for k in range(1, sweeps + 1):
         res = nmf(M, r, n_iters=k, seed=seed)
         errs.append(np.linalg.norm(M - res.W @ res.H) / nrm)
     return np.array(errs)
+
+
+def hals_without_stop(M, r, sweeps, seed):
+    """Oracle: ``sweeps`` HALS sweeps from ``nmf``'s start, with no stop
+    rule, in the same floating-point operations as ``nmf``."""
+    m, n = M.shape
+    rng = np.random.default_rng(seed)
+    W = rng.random((m, r))
+    H = rng.random((r, n))
+    scale = np.sqrt(np.linalg.norm(M) / np.linalg.norm(W @ H))
+    W *= scale
+    H *= scale
+    for _ in range(sweeps):
+        HHt = H @ H.T
+        MHt = M @ H.T
+        for j in range(r):
+            W[:, j] = np.maximum(W[:, j] + (MHt[:, j] - W @ HHt[:, j])
+                                 / HHt[j, j], 0.0)
+        WtW = W.T @ W
+        WtM = W.T @ M
+        for j in range(r):
+            H[j, :] = np.maximum(H[j, :] + (WtM[j, :] - WtW[j, :] @ H)
+                                 / WtW[j, j], 0.0)
+    return W, H
 
 
 class TestNMF:
@@ -142,6 +167,30 @@ class TestNMF:
         res = nmf(M, 3, n_iters=2000, seed=1)
         assert np.linalg.norm(M - res.W @ res.H) / np.linalg.norm(M) < 1e-6
 
+    def test_exact_fit_not_stopped_early(self):
+        # same matrix as above: the residual-scaled stop must not cut the
+        # fit short of where plain HALS gets with the same budget
+        rng = np.random.default_rng(12)
+        M = rng.random((8, 3)) @ rng.random((3, 6))
+        res = nmf(M, 3, n_iters=2000, seed=1)
+        W, H = hals_without_stop(M, 3, 2000, seed=1)
+        same = np.array_equal(res.W, W) and np.array_equal(res.H, H)
+        rel = [np.linalg.norm(M - A @ B) / np.linalg.norm(M)
+               for A, B in ((res.W, res.H), (W, H))]
+        assert same or max(rel) < 1e-12
+
+    def test_stops_when_stationary_on_inexact_fit(self):
+        # a uniform random 40x40 matrix has no exact rank-5 nonnegative
+        # factorization, so its fit becomes stationary at a nonzero residual
+        M = np.random.default_rng(13).random((40, 40))
+        res = nmf(M, 5, n_iters=500)
+        longer = nmf(M, 5, n_iters=5000)
+        assert np.array_equal(res.W, longer.W)
+        assert np.array_equal(res.H, longer.H)
+        W, H = hals_without_stop(M, 5, 500, seed=0)
+        assert np.linalg.norm(M - res.W @ res.H) == pytest.approx(
+            np.linalg.norm(M - W @ H), rel=1e-4)
+
     def test_zero_matrix(self):
         res = nmf(np.zeros((4, 3)), 2)
         assert np.all(res.W == 0) and np.all(res.H == 0)
@@ -155,6 +204,10 @@ class TestNMF:
     def test_rank_bounds_rejected(self):
         with pytest.raises(ValueError):
             nmf(np.ones((3, 3)), 0)
+
+    def test_zero_budget_rejected(self):
+        with pytest.raises(ValueError, match="n_iters must be at least 1"):
+            nmf(np.ones((3, 3)), 1, n_iters=0)
 
 
 class TestBestScaledError:
