@@ -26,10 +26,15 @@ class SVDTriple:
 
 @dataclass
 class NMFResult:
-    """Factors of a nonnegative approximation ``W @ H``."""
+    """Factors of a nonnegative approximation ``W @ H``, the number of full
+    sweeps that produced them, and why the sweeps ended: ``stop`` is
+    ``"stationary"`` when the stop test fired (or the input is zero) and
+    ``"budget"`` when the sweep budget ran out first."""
 
     W: np.ndarray
     H: np.ndarray
+    sweeps: int
+    stop: str
 
 
 def truncated_svd(M, r: int) -> SVDTriple:
@@ -113,7 +118,8 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     Returns
     -------
     NMFResult
-        Factors ``W`` (m x r), ``H`` (r x n), both entrywise nonnegative.
+        Factors ``W`` (m x r), ``H`` (r x n), both entrywise nonnegative,
+        with the sweep count and the stop reason.
 
     Notes
     -----
@@ -131,7 +137,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
         raise ValueError("input must be entrywise nonnegative")
     nrm = float(np.linalg.norm(M))
     if nrm == 0.0:
-        return NMFResult(np.zeros((m, r)), np.zeros((r, n)))
+        return NMFResult(np.zeros((m, r)), np.zeros((r, n)), 0, "stationary")
     rng = np.random.default_rng(seed)
     W = rng.random((m, r))
     H = rng.random((r, n))
@@ -139,12 +145,14 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     W *= scale
     H *= scale
     tiny = np.finfo(float).tiny
+    sweeps, stop = n_iters, "budget"
     for sweep in range(n_iters):
         HHt = H @ H.T
         MHt = M @ H.T
         # the gradients at the current (W, H) reuse this sweep's HHt, MHt
         # and the last sweep's WtW, WtM
         if sweep and _stationary(M, W, H, W @ HHt - MHt, WtW @ H - WtM):
+            sweeps, stop = sweep, "stationary"
             break
         for j in range(r):
             d = HHt[j, j]
@@ -158,7 +166,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
             if d > tiny:
                 H[j, :] = np.maximum(H[j, :] + (WtM[j, :] - WtW[j, :] @ H) / d,
                                      0.0)
-    return NMFResult(W, H)
+    return NMFResult(W, H, sweeps, stop)
 
 
 def best_scaled_error(X, Xstar) -> float:

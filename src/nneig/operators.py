@@ -64,6 +64,12 @@ class FactorForm(NamedTuple):
     left: Callable[[np.ndarray], np.ndarray]
     right: Callable[[np.ndarray], np.ndarray]
 
+    def project(self, U: np.ndarray,
+                V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(F @ V, F.T @ U)`` for ``F = A(U V^T)``, never forming ``F``."""
+        P, Q = self.left(U), self.right(V)
+        return P @ (Q.T @ V), Q @ (P.T @ U)
+
 
 class LinearMatrixOperator:
     """Common interface for the operator families.
@@ -108,8 +114,7 @@ class LinearMatrixOperator:
         if form is None:
             F = self.apply_factored(U, V)
             return F @ V, F.T @ U
-        P, Q = form.left(U), form.right(V)
-        return P @ (Q.T @ V), Q @ (P.T @ U)
+        return form.project(U, V)
 
     def default_step(self) -> float:
         """Default integrator step size for this operator."""
@@ -340,24 +345,26 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
                 s > s.max(initial=0.0) * max(self.shape) * np.finfo(float).eps))
             n = self.shape[0]
             A = self.A
-            x = np.empty((n, q + 1))
-            x[:, 0] = self.eps
-            x[:, 1:] = a[:, :q] * (self.g * s[:q])
-            y = np.empty((n, q + 1))
-            y[:, :q] = bt[:q].T
-            y[:, q] = self.eps
+            x = np.empty((q + 1, n))
+            x[0] = self.eps
+            x[1:] = (self.g * s[:q, None]) * a[:, :q].T
+            y = np.empty((q + 1, n))
+            y[:q] = bt[:q]
+            y[q] = self.eps
 
+            # each lift fills a (blocks, r, n) buffer, so the entrywise
+            # products run along n, and returns its transposed view
             def left(U):
-                P = np.empty((n, q + 2, U.shape[1]))
-                np.multiply(x[:, :, None], U[:, None, :], out=P[:, :q + 1])
-                P[:, q + 1] = A @ U
-                return P.reshape(n, -1)
+                P = np.empty((q + 2, U.shape[1], n))
+                np.multiply(x[:, None], U.T, out=P[:q + 1])
+                np.matmul(A, U, out=P[q + 1].T)
+                return P.reshape(-1, n).T
 
             def right(V):
-                Q = np.empty((n, q + 2, V.shape[1]))
-                Q[:, 0] = A @ V
-                np.multiply(y[:, :, None], V[:, None, :], out=Q[:, 1:])
-                return Q.reshape(n, -1)
+                Q = np.empty((q + 2, V.shape[1], n))
+                np.matmul(A, V, out=Q[0].T)
+                np.multiply(y[:, None], V.T, out=Q[1:])
+                return Q.reshape(-1, n).T
 
             self._form = FactorForm(q + 2, left, right)
         return self._form

@@ -308,15 +308,16 @@ def _normalize(W: np.ndarray, m: int) -> bool:
     return True
 
 
-def _flow_data(op: LinearMatrixOperator, W: np.ndarray, m: int):
+def _flow_data(projected, W: np.ndarray, m: int):
     """Constrained flow data at normalized nonnegative factors ``W = [U; V]``.
 
     Returns the gradients of the flow ``A(X) - rho X`` pushed onto each
     factor, stacked like ``W`` and projected onto the directions feasible
-    at ``W``, and the joint norm of the projection.
+    at ``W``, and the joint norm of the projection.  ``projected(U, V)``
+    is the operator's ``apply_projected``.
     """
     U, V = W[:m], W[m:]
-    FV, FtU = op.apply_projected(U, V)
+    FV, FtU = projected(U, V)
     lam = float((FtU * V).sum())  # <A(X), UV^T> without forming UV^T
     _check_finite(lam, "factored iterate")
     G = np.empty_like(W)
@@ -408,7 +409,11 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     if not _normalize(W, m):
         raise ValueError("initial factors have zero product")
 
-    P, _ = _flow_data(op, W, m)
+    # the projection through the narrow factor form, resolved once
+    form = op.narrow_factor_form(rank)
+    projected = op.apply_projected if form is None else form.project
+    P, _ = _flow_data(projected, W, m)
+    ratio = np.empty(W.shape)
     base = np.inf
     h = h_init
     h_ceil = np.inf
@@ -423,7 +428,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         # Only entries pushed downward constrain the step, and those are
         # all positive now: at a zero entry the feasible projection
         # clipped the direction at zero
-        ratio = np.full(W.shape, np.inf)
+        ratio.fill(np.inf)
         np.divide(W, -P, out=ratio, where=P < 0)
         h_adm = float(ratio.min())
         # backtracking loop: retake the trial step from the same factors
@@ -440,7 +445,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             # the next admissible step to nothing
             Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
             if _normalize(Wt, m):
-                P_t, g_t = _flow_data(op, Wt, m)
+                P_t, g_t = _flow_data(projected, Wt, m)
                 if g_t <= ACCEPT_SLACK * base or rejects >= MAX_REJECTS:
                     break
             rejected += 1
@@ -491,6 +496,26 @@ def _last(f):
     return cached
 
 
+# largest ||Q^T Q - I||_F that psi_solve accepts in a warm start's U and V
+ORTHONORMAL_TOL = 1e-8
+
+
+def _step_distance(US0, S0, V0, US1, V1) -> float:
+    """``||X1 - X0||_F`` for ``Xi = Ui Si Vi^T`` with orthonormal ``Ui``,
+    ``Vi``, from ``USi = Ui Si``, ``S0``, ``V0`` and ``V1`` in
+    ``O((m + n) r^2)``, without forming either product.
+
+    Splitting ``X1 - X0`` along ``span(V1)`` and its complement gives two
+    orthogonal parts; with ``B = V0^T V1`` their norms are
+    ``||U1 S1 - U0 S0 B||_F`` and ``||(V0 - V1 B^T) S0^T||_F``, the
+    latter because ``U0`` is orthonormal.
+    """
+    B = V0.T @ V1
+    inner = US1 - US0 @ B
+    outer = (V0 - V1 @ B.T) @ S0.T
+    return math.sqrt(np.vdot(inner, inner) + np.vdot(outer, outer))
+
+
 def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
               tol: float = 1e-8, max_steps: int = 500_000,
               init: PSIState | None = None, seed: int = 0) -> EigenReport:
@@ -525,8 +550,13 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
 
     Stops when ``||X_{k+1} - X_k||_F <= tol * h``, or after ``max_steps``
     steps; ``details["stop"]`` says which (``"converged"`` or
-    ``"budget"``).  A warm start whose core ``S`` is zero or not finite is
-    rejected with ValueError.
+    ``"budget"``).  The distance comes from the factors of the two states
+    in ``O((m + n) r^2)`` (:func:`_step_distance`), so no step forms the
+    ``m x n`` iterate; ``X`` is formed once, for the report.  A step costs
+    two lifts (or three projected applications) plus ``O((m + n) r^2)``
+    dense algebra.  A warm start whose core ``S`` is zero or not finite,
+    or whose ``U`` or ``V`` is not orthonormal
+    (``||Q^T Q - I||_F > ORTHONORMAL_TOL``), is rejected with ValueError.
     """
     t0 = time.perf_counter()
     m, n = op.shape
@@ -547,6 +577,10 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         s_nrm = float(np.linalg.norm(init.S))
         if not (s_nrm > 0.0 and math.isfinite(s_nrm)):
             raise ValueError("init core S must be nonzero and finite")
+        for name, Q in (("U", init.U), ("V", init.V)):
+            if not np.linalg.norm(Q.T @ Q - np.eye(rank)) <= ORTHONORMAL_TOL:
+                raise ValueError(f"init factor {name} must have orthonormal "
+                                 "columns")
         U = init.U.copy()
         S = init.S / s_nrm
         V = init.V.copy()
@@ -597,14 +631,17 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         def image(U, S, V):
             return left(U) @ bd(S, right(V).T)
 
-    X_prev = U @ S @ V.T
+    # the substeps' QR runs without thin_qr's sign convention: a column
+    # sign flip of a Q is exact in floating point and absorbed by the core,
+    # so the iterate X is the same bit for bit
+    qr = np.linalg.qr
+    US = U @ S
     stop = "budget"
     for k in range(1, max_steps + 1):
         # K-step
-        US = U @ S
         FV, rho = k_image(U, S, V, US)
         _check_finite(rho, "splitting iterate")
-        U1, S_hat = thin_qr(US + step * (FV - rho * US))
+        U1, S_hat = qr(US + step * (FV - rho * US))
         # S-step (backward)
         UtFV, rho = s_image(U1, S_hat, V)
         _check_finite(rho, "splitting iterate")
@@ -613,14 +650,14 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         VS = V @ S_tilde.T
         FtU, rho = l_image(U1, S_tilde, V, VS)
         _check_finite(rho, "splitting iterate")
-        V1, S1t = thin_qr(VS + step * (FtU - rho * VS))
+        V1, S1t = qr(VS + step * (FtU - rho * VS))
         s_nrm = _norm(S1t)
         if s_nrm == 0.0 or not math.isfinite(s_nrm):
             raise SolverError("splitting core vanished or blew up")
-        U, S, V = U1, S1t.T / s_nrm, V1
-        X = U @ S @ V.T
-        delta = _norm(X - X_prev)
-        X_prev = X
+        S1 = S1t.T / s_nrm
+        US1 = U1 @ S1
+        delta = _step_distance(US, S, V, US1, V1)
+        U, S, V, US = U1, S1, V1, US1
         if delta <= tol * step:
             stop = "converged"
             break
@@ -628,8 +665,9 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     # the factored state has a global sign gauge (the flow is odd, so X and
     # -X evolve identically); canonicalize to nonnegative total mass so the
     # negative-entry count reflects genuine sign mixing, not the gauge
-    if float(np.sum(X_prev)) < 0:
+    X = US @ V.T
+    if float(np.sum(X)) < 0:
         S = -S
-        X_prev = -X_prev
-    return _report("psi", op, X_prev, t0, k, stop, {"h": step},
+        X = -X
+    return _report("psi", op, X, t0, k, stop, {"h": step},
                    Y=image(U, S, V), psi_state=PSIState(U, S, V))

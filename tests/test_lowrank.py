@@ -5,15 +5,20 @@ golden-section search over the scalar, and the truncation error of the
 metastable demo walk is pinned to values recorded from a long power run.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nneig.bench import ExperimentConfig, build_operator
 from nneig.lowrank import NMFResult, SVDTriple, best_scaled_error, nmf, truncated_svd
 from nneig.markovgrid import demo_clustered_walk
-from nneig.solvers import power_reference
+from nneig.solvers import krylov_reference, power_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def golden_scale_error(X, Xstar, iters=200):
@@ -191,9 +196,36 @@ class TestNMF:
         assert np.linalg.norm(M - res.W @ res.H) == pytest.approx(
             np.linalg.norm(M - W @ H), rel=1e-4)
 
+    @pytest.mark.parametrize("config, trial, stop", [
+        ("random-grid", 5, "budget"), ("block-grid", 0, "stationary")])
+    def test_stop_reason_on_bench_fit(self, config, trial, stop):
+        # the bench's power+nmf fit of a config trial: the clipped reference
+        # at the trial seed.  Random-grid trial 5 is still improving when
+        # its 500-sweep budget runs out; block grids plateau well before
+        cfg = ExperimentConfig.from_json(
+            (ROOT / "configs" / f"{config}.json").read_text())
+        seed = cfg.seed + trial
+        ref = krylov_reference(build_operator(cfg, seed), tol=cfg.power_tol,
+                               max_iters=cfg.power_iters)
+        res = nmf(np.maximum(ref.X, 0.0), cfg.rank, seed=seed)
+        assert res.stop == stop
+        if stop == "budget":
+            assert res.sweeps == 500
+        else:
+            assert 1 <= res.sweeps < 500
+
+    def test_sweep_count_is_the_budget_of_an_equal_run(self):
+        M = np.random.default_rng(13).random((40, 40))
+        res = nmf(M, 5)
+        again = nmf(M, 5, n_iters=res.sweeps)
+        assert (res.stop, again.stop) == ("stationary", "budget")
+        assert np.array_equal(res.W, again.W)
+        assert np.array_equal(res.H, again.H)
+
     def test_zero_matrix(self):
         res = nmf(np.zeros((4, 3)), 2)
         assert np.all(res.W == 0) and np.all(res.H == 0)
+        assert (res.sweeps, res.stop) == (0, "stationary")
 
     def test_negative_input_rejected(self):
         M = np.eye(3)

@@ -32,8 +32,10 @@ from nneig.operators import (
     grid_points,
 )
 from nneig.solvers import (
+    ORTHONORMAL_TOL,
     PSIState,
     _normalize,
+    _step_distance,
     krylov_reference,
     power_reference,
     psi_solve,
@@ -411,6 +413,53 @@ class TestPSI:
                 psi_solve(HadamardGrowthOperator.standard(9), rank=2,
                           init=PSIState(U, S, V))
 
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_warm_start_not_orthonormal_rejected(self, side):
+        # the splitting and its stop test assume orthonormal factors; a
+        # start off by more than ORTHONORMAL_TOL is rejected before the
+        # first projected application
+        rng = np.random.default_rng(0)
+        U, _ = thin_qr(rng.standard_normal((9, 2)))
+        V, _ = thin_qr(rng.standard_normal((9, 2)))
+        S = np.diag([0.8, 0.6])
+        for scale, ok in ((1.0 + 1e-2 * ORTHONORMAL_TOL, True),
+                          (1.0 + ORTHONORMAL_TOL, False), (2.0, False)):
+            F = {"U": U, "V": V}
+            F[side] = F[side] * np.array([1.0, scale])
+            op = CountedProjections(HadamardGrowthOperator.standard(9))
+            state = PSIState(F["U"], S, F["V"])
+            if ok:
+                psi_solve(op, rank=2, init=state, max_steps=1)
+                assert op.calls > 0
+            else:
+                with pytest.raises(ValueError, match=f"{side} must have "
+                                   "orthonormal columns"):
+                    psi_solve(op, rank=2, init=state, max_steps=1)
+                assert op.calls == 0
+
+    @pytest.mark.parametrize("assembled", [False, True])
+    def test_factor_sign_flips_leave_iterate_bit_identical(self, assembled):
+        # flipping the signs of some columns of U and the matching rows of
+        # S (or of V and the columns of S) leaves U S V^T unchanged, and
+        # floating point rounds a negated operand to the negated result,
+        # so every later step, QR included, differs only in those signs
+        op = TestProjectedImagePath.nonsymmetric_growth()
+        if assembled:
+            op = AssembledImage(op)
+        rng = np.random.default_rng(2)
+        U, _ = thin_qr(rng.standard_normal((30, 3)))
+        V, _ = thin_qr(rng.standard_normal((30, 3)))
+        S = rng.standard_normal((3, 3))
+        base = psi_solve(op, rank=3, h=1e-3, max_steps=40,
+                         init=PSIState(U, S, V))
+        d = np.array([1.0, -1.0, -1.0])
+        e = np.array([-1.0, 1.0, -1.0])
+        for state in (PSIState(U * d, d[:, None] * S, V),
+                      PSIState(U, S * e, V * e),
+                      PSIState(U * d, d[:, None] * S * e, V * e)):
+            rep = psi_solve(op, rank=3, h=1e-3, max_steps=40, init=state)
+            assert np.array_equal(rep.X, base.X)
+
     def test_unit_norm_iterate(self):
         rep = psi_solve(demo_clustered_walk(), rank=2, seed=0)
         assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-10)
@@ -445,6 +494,29 @@ class TestPSI:
                         max_steps=5)
         assert cut.iterations == 5
         assert not cut.converged and cut.details["stop"] == "budget"
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(4, 12), extra=st.integers(1, 6), r=st.integers(1, 4),
+       size=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+       seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_step_distance_matches_dense(m, extra, r, size, seed, wide):
+    # psi's stop distance between two orthonormal-factor states against
+    # the Frobenius norm of the difference of the formed products, for
+    # steps from O(1) down to 1e-12
+    m, n = (m, m + extra) if wide else (m + extra, m)
+    rng = np.random.default_rng(seed)
+    U0, _ = thin_qr(rng.standard_normal((m, r)))
+    V0, _ = thin_qr(rng.standard_normal((n, r)))
+    S0 = rng.standard_normal((r, r))
+    S0 /= np.linalg.norm(S0)
+    U1, _ = thin_qr(U0 + size * rng.standard_normal((m, r)))
+    V1, _ = thin_qr(V0 + size * rng.standard_normal((n, r)))
+    S1 = S0 + size * rng.standard_normal((r, r))
+    S1 /= np.linalg.norm(S1)
+    dense = np.linalg.norm(U1 @ S1 @ V1.T - U0 @ S0 @ V0.T)
+    got = _step_distance(U0 @ S0, S0, V0, U1 @ S1, V1)
+    assert abs(got - dense) <= 1e-13
 
 
 class AssembledImage(LinearMatrixOperator):
