@@ -153,7 +153,7 @@ def _solve(args) -> int:
             fields = dict(X=X, eigenvalue=lam, residual=res,
                           neg_count=int(np.count_nonzero(X < 0)))
         rep = replace(rep, method=args.method, **fields)
-    payload = rep.to_dict(include_matrix=True)
+    payload = rep.to_dict()
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh)

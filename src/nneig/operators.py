@@ -169,10 +169,11 @@ class MarkovGridOperator(LinearMatrixOperator):
     def _split_terms(self) -> None:
         # Evaluation plan.  A term with dense factors runs as two GEMMs on
         # the stacked blocks; a term whose pair is sparse enough (block
-        # grids carry one near-empty term per block) is folded into a
-        # single sparse Kronecker matrix applied to the vectorized input.
+        # grids carry one near-empty term per block) is folded into the
+        # nonzeros of one Kronecker matrix applied to the vectorized input.
         # The cutoff compares the Kronecker nonzero count against the GEMM
-        # flop count with a wide margin for the slower sparse kernels.
+        # flop count with a 16x margin, since a gathered and scattered
+        # nonzero costs many GEMM flops.
         m, n = self.shape
         dense, sparse_terms = [], []
         for w, A, B in self.terms:
@@ -191,18 +192,24 @@ class MarkovGridOperator(LinearMatrixOperator):
         # on the assembled product
         self._form = (FactorForm(len(dense), self._lift_left, self._lift_right)
                       if not sparse_terms else None)
+        self._fold = None
         if sparse_terms:
-            from scipy import sparse
-
-            # column-major vec: vec(A^T X B) = (B^T kron A^T) vec(X)
-            P = sparse.csr_matrix((m * n, m * n))
+            # column-major vec: vec(A^T X B) = (B^T kron A^T) vec(X).  The
+            # fold keeps the nonzeros of sum_p w_p (B_p^T kron A_p^T) as
+            # (row, col, value) sorted by position, a repeated position
+            # summed in term order
+            mn = m * n
+            keys, vals = [], []
             for w, A, B in sparse_terms:
-                P = P + w * sparse.kron(
-                    sparse.csr_matrix(B.T), sparse.csr_matrix(A.T), "csr"
-                )
-            self._sparse_P = P
-        else:
-            self._sparse_P = None
+                At, Bt = A.T, B.T
+                ai, aj = np.nonzero(At)
+                bi, bj = np.nonzero(Bt)
+                keys.append(((bi[:, None] * m + ai) * mn
+                             + bj[:, None] * m + aj).ravel())
+                vals.append((w * (Bt[bi, bj][:, None] * At[ai, aj])).ravel())
+            keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+            self._fold = (keys // mn, keys % mn,
+                          np.bincount(at, weights=np.concatenate(vals)))
 
     def _lift_left(self, U: np.ndarray) -> np.ndarray:
         # [w_1 A_1^T U, .., w_K A_K^T U]
@@ -217,21 +224,19 @@ class MarkovGridOperator(LinearMatrixOperator):
     def factor_form(self) -> FactorForm | None:
         return self._form
 
-    def _apply_dense_terms(self, X: np.ndarray) -> np.ndarray:
-        Z = self._dense_wAt @ X
-        return Z.transpose(1, 0, 2).reshape(self.shape[0], -1) @ self._dense_Bv
-
     def _apply_sparse_terms(self, X: np.ndarray) -> np.ndarray:
         m, n = self.shape
-        y = self._sparse_P @ X.reshape(-1, order="F")
+        rows, cols, vals = self._fold
+        y = np.bincount(rows, weights=vals * X.reshape(-1, order="F")[cols],
+                        minlength=m * n)
         return y.reshape((m, n), order="F")
 
     def apply_full(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = None
         if self._dense_wAt is not None:
-            out = self._apply_dense_terms(X)
-        if self._sparse_P is not None:
+            out = self._lift_left(X) @ self._dense_Bv
+        if self._fold is not None:
             ys = self._apply_sparse_terms(X)
             out = ys if out is None else out + ys
         return out
@@ -246,7 +251,7 @@ class MarkovGridOperator(LinearMatrixOperator):
         out = None
         if self._dense_wAt is not None:
             out = self._lift_left(U) @ self._lift_right(V).T
-        if self._sparse_P is not None:
+        if self._fold is not None:
             ys = self._apply_sparse_terms(U @ V.T)
             out = ys if out is None else out + ys
         return out

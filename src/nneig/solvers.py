@@ -67,7 +67,7 @@ class EigenReport:
     psi_state: "PSIState | None" = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self, include_matrix: bool = True) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "method": self.method,
             "eigenvalue": self.eigenvalue,
@@ -77,16 +77,15 @@ class EigenReport:
             "wall_time_s": self.wall_time_s,
             "neg_count": self.neg_count,
             "details": dict(self.details),
+            "X": self.X.tolist(),
         }
-        if include_matrix:
-            d["X"] = self.X.tolist()
-            if self.factors is not None:
-                d["U"] = self.factors.U.tolist()
-                d["V"] = self.factors.V.tolist()
-            if self.psi_state is not None:
-                d["U"] = self.psi_state.U.tolist()
-                d["S"] = self.psi_state.S.tolist()
-                d["V"] = self.psi_state.V.tolist()
+        if self.factors is not None:
+            d["U"] = self.factors.U.tolist()
+            d["V"] = self.factors.V.tolist()
+        if self.psi_state is not None:
+            d["U"] = self.psi_state.U.tolist()
+            d["S"] = self.psi_state.S.tolist()
+            d["V"] = self.psi_state.V.tolist()
         return d
 
 

@@ -441,3 +441,35 @@ class TestCLI:
     def test_usage_error_is_config_error(self):
         out = run_cli("frobnicate")
         assert out.returncode == 1
+
+
+# every operator family applied every way, and a one-trial block-grid
+# bench, in a fresh interpreter that must never load scipy
+NUMPY_ONLY = """
+import sys
+import numpy as np
+from nneig.bench import ExperimentConfig, run_experiment
+from nneig.markovgrid import (BlockGridSpec, RandomGridSpec,
+                              generate_block_grid, generate_random_grid)
+from nneig.operators import HadamardGrowthOperator, SeparableGrowthOperator
+block = generate_block_grid(BlockGridSpec(sizes=(1,) * 6, delta=0.3,
+                                          style="trap"))
+assert block.factor_form() is None  # its terms are folded
+U = np.ones((6, 2))
+for op in (block, generate_random_grid(RandomGridSpec(n=6)),
+           HadamardGrowthOperator.standard(6),
+           SeparableGrowthOperator.standard(6)):
+    op.apply_full(U @ U.T)
+    op.apply_factored(U, U)
+    op.apply_projected(U, U)
+run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2, trials=1))
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_package_runs_without_scipy():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    out = subprocess.run([sys.executable, "-c", NUMPY_ONLY],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nneig.markovgrid import demo_path_walk
+from nneig.markovgrid import (BlockGridSpec, demo_path_walk,
+                              generate_block_grid)
 from nneig.operators import (
     HadamardGrowthOperator,
     MarkovGridOperator,
@@ -161,6 +162,38 @@ class TestMarkovGridOperator:
         np.testing.assert_allclose(
             vec(op.apply_full(X)), P.T @ vec(X), atol=1e-12
         )
+
+
+class TestSparseFold:
+    # ten block terms that are the identity outside their own 3x3 block,
+    # plus one dense term
+    SPEC = BlockGridSpec(sizes=(3,) * 10, delta=0.3, seed=2,
+                         style="stochastic")
+
+    def test_one_entry_per_distinct_position(self):
+        op = generate_block_grid(self.SPEC)
+        assert op._dense_wAt.shape[0] == 1
+        kron = [np.nonzero(np.kron(B.T, A.T)) for _, A, B in op.terms[:-1]]
+        assert len(kron) == 10
+        # the identity parts of the terms overlap: 12,960 Kronecker entries
+        # land on 4,860 distinct positions, and the fold holds each once
+        assert sum(len(r) for r, _ in kron) == 12_960
+        positions = {p for r, c in kron for p in zip(r.tolist(), c.tolist())}
+        assert len(positions) == 4_860
+        rows, cols, vals = op._fold
+        assert len(rows) == len(cols) == len(vals) == 4_860
+        assert set(zip(rows.tolist(), cols.tolist())) == positions
+
+    def test_applies_match_vectorization(self):
+        op = generate_block_grid(self.SPEC)
+        P = vectorize_operator(op)
+        rng = np.random.default_rng(13)
+        U, V = rng.random((30, 3)), rng.random((30, 3))
+        X = rng.standard_normal((30, 30))
+        for got, arg in ((op.apply_full(X), X),
+                         (op.apply_factored(U, V), U @ V.T)):
+            np.testing.assert_allclose(vec(got), P.T @ vec(arg), rtol=0,
+                                       atol=1e-14)
 
 
 class TestNeumannLaplacian:
@@ -367,7 +400,7 @@ def _dense_grid(n=10):
         terms.append((w, A / A.sum(axis=1, keepdims=True),
                       B / B.sum(axis=1, keepdims=True)))
     op = MarkovGridOperator(terms)
-    assert op._sparse_P is None
+    assert op._fold is None
     return op
 
 
