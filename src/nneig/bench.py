@@ -19,7 +19,7 @@ from .matcore import FactorPair
 # power_reference stays importable from here for callers that wrap the
 # module's solver names; the benchmark reference is krylov_reference
 from .solvers import (EigenReport, PSIState, _check_budget,  # noqa: F401
-                      _check_step, _check_tol, krylov_reference,
+                      _check_rank, _check_step, _check_tol, krylov_reference,
                       power_reference, psi_solve, rayleigh, rneg_solve)
 
 __all__ = [
@@ -148,9 +148,7 @@ class ExperimentConfig:
         size = self.n
         if self.kind == "block-grid" and self.sizes is not None:
             size = sum(self.sizes)
-        if not 1 <= self.rank <= size:
-            raise ValueError(f"rank must lie in [1, {size}], the operator "
-                             f"size, got {self.rank}")
+        _check_rank(self.rank, size)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         # the solvers' own checks, run before any trial builds an operator

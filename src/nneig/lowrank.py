@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import as_matrix, frobenius_inner
-from .solvers import _check_budget
+from .solvers import _check_budget, _check_rank
 
 __all__ = ["SVDTriple", "NMFResult", "truncated_svd", "nmf", "best_scaled_error"]
 
@@ -53,8 +53,7 @@ def truncated_svd(M, r: int) -> SVDTriple:
         nonnegative.
     """
     M = as_matrix(M, "input")
-    if not 1 <= r <= min(M.shape):
-        raise ValueError(f"rank must lie in [1, {min(M.shape)}], got {r}")
+    _check_rank(r, min(M.shape))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return SVDTriple(U[:, :r].copy(), s[:r].copy(), Vt[:r].copy())
 
@@ -130,8 +129,7 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     """
     M = as_matrix(M, "input")
     m, n = M.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank must lie in [1, {min(m, n)}], got {r}")
+    _check_rank(r, min(m, n))
     _check_budget(n_iters, "n_iters")
     if np.any(M < 0):
         raise ValueError("input must be entrywise nonnegative")

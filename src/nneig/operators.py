@@ -14,15 +14,14 @@ Two operator classes are provided:
 
 Each operator evaluates either on a dense matrix (``apply_full``) or directly
 on a low-rank factor pair (``apply_factored``), where the input product
-``U @ V.T`` is never formed except for the entrywise growth term.  The
-factored solvers only need the image projected back onto the factors,
-``A(U V^T) V`` and ``A(U V^T)^T U``, which ``apply_projected`` returns.  It
-never forms an ``m x n`` matrix when the operator has a narrow
-:class:`FactorForm`, column maps with ``A(U V^T) = left(U) @ right(V).T``:
-a grid whose terms are all dense has one, ``sum_p (w_p A_p^T U)(B_p^T V)^T``,
-and so does a growth-diffusion operator whenever its growth rate ``G`` has
-low numerical rank, since ``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by
-column.
+``U @ V.T`` is never formed except for the entrywise growth term.  An
+operator may also expose a :class:`FactorForm`, column maps with
+``A(U V^T) = left(U) @ right(V).T``: a grid whose terms are all dense has
+one, ``sum_p (w_p A_p^T U)(B_p^T V)^T``, and so does a growth-diffusion
+operator whenever its growth rate ``G`` has low numerical rank, since
+``(a b^T) o (U V^T) = (a o U)(b o V)^T`` column by column.  Operators only
+compute; whether a solve lifts through the form or assembles the image is
+decided in :mod:`nneig.solvers`.
 """
 
 from __future__ import annotations
@@ -90,31 +89,6 @@ class LinearMatrixOperator:
         """The operator's :class:`FactorForm`, built once per operator, or
         None (the default) when its image has none."""
         return None
-
-    def narrow_factor_form(self, rank: int) -> FactorForm | None:
-        """:meth:`factor_form` if its image at rank ``rank`` is narrower
-        than the matrices the operator acts on, else None."""
-        form = self.factor_form()
-        if form is None or form.blocks * rank >= min(self.shape):
-            return None
-        return form
-
-    def apply_projected(self, U: np.ndarray,
-                        V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The image ``F = A(U V^T)`` projected onto the factors:
-        ``(F @ V, F.T @ U)``.
-
-        Through the narrow factor form ``F = P Q^T`` when the operator has
-        one, never forming ``F``; otherwise ``F`` is assembled with one
-        ``apply_factored`` call.
-        """
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        form = self.narrow_factor_form(U.shape[1])
-        if form is None:
-            F = self.apply_factored(U, V)
-            return F @ V, F.T @ U
-        return form.project(U, V)
 
     def default_step(self) -> float:
         """Default integrator step size for this operator."""
@@ -324,8 +298,10 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
             raise ValueError("diffusion matrix must be Metzler")
         self.eps = float(eps)
         self.eps_r = float(eps_r)
-        if self.eps < 0 or self.eps_r < 0:
-            raise ValueError("eps and eps_r must be nonnegative")
+        for name, value in (("eps", self.eps), ("eps_r", self.eps_r)):
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {value}")
         self.shape = (n, n)
         self._form = None
 
@@ -427,6 +403,8 @@ class SeparableGrowthOperator(_GrowthDiffusionOperator):
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
             raise ValueError("modulations contain non-finite entries")
         self.r0 = float(r0)
+        if not math.isfinite(self.r0):
+            raise ValueError(f"r0 must be finite, got {self.r0}")
         self.g, self.G = 1.0, self.r0 + self.eps_r * np.outer(self.phi, self.psi)
 
     @classmethod

@@ -5,6 +5,10 @@ All solvers target the rightmost eigenpair ``A(X) = lam X`` of a
 :class:`~nneig.operators.LinearMatrixOperator` and report a unit-Frobenius-
 norm ``X``.  They share a common report type and are deterministic given
 their seeds (PCG64 generators throughout).
+
+The factored solvers evaluate the image ``F = A(U V^T)`` through the
+operator's factor form when it is narrow (:func:`_narrow_form`), else by
+assembling ``F`` with one ``apply_factored`` call per evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import FactorPair, project_feasible_direction, thin_qr
-from .operators import LinearMatrixOperator
+from .operators import FactorForm, LinearMatrixOperator
 
 __all__ = [
     "SolverError",
@@ -157,6 +161,23 @@ def _check_budget(budget: int, name: str) -> int:
     if budget < 1:
         raise ValueError(f"{name} must be at least 1, got {budget}")
     return budget
+
+
+def _check_rank(rank: int, size: int) -> None:
+    if not 1 <= rank <= size:
+        raise ValueError(f"rank must lie in [1, {size}], got {rank}")
+
+
+def _narrow_form(op: LinearMatrixOperator, rank: int) -> FactorForm | None:
+    """``op``'s factor form if its image at rank ``rank`` is narrower than
+    the matrices ``op`` acts on, else None.  A wider form costs more than
+    the image it avoids: with a full-rank Hadamard growth rate at n=100,
+    r=30 (2 cores, one BLAS thread) a psi step through it took 7x and an
+    rneg step 17x the time of the assembled image."""
+    form = op.factor_form()
+    if form is None or form.blocks * rank >= min(op.shape):
+        return None
+    return form
 
 
 # weight of the identity in the power_reference step; a positive one keeps
@@ -313,7 +334,7 @@ def _flow_data(projected, W: np.ndarray, m: int):
     Returns the gradients of the flow ``A(X) - rho X`` pushed onto each
     factor, stacked like ``W`` and projected onto the directions feasible
     at ``W``, and the joint norm of the projection.  ``projected(U, V)``
-    is the operator's ``apply_projected``.
+    returns ``(F @ V, F.T @ U)`` for ``F = A(U V^T)``.
     """
     U, V = W[:m], W[m:]
     FV, FtU = projected(U, V)
@@ -389,8 +410,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     """
     t0 = time.perf_counter()
     m, n = op.shape
-    if not 1 <= rank <= min(m, n):
-        raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
+    _check_rank(rank, min(m, n))
     h_init = _check_step(op.default_step() if h0 is None else h0, "h0")
     _check_tol(tol)
     _check_budget(nmax, "nmax")
@@ -408,9 +428,15 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     if not _normalize(W, m):
         raise ValueError("initial factors have zero product")
 
-    # the projection through the narrow factor form, resolved once
-    form = op.narrow_factor_form(rank)
-    projected = op.apply_projected if form is None else form.project
+    # the projection through the narrow factor form, else of the
+    # assembled image, resolved once
+    form = _narrow_form(op, rank)
+    if form is None:
+        def projected(U, V):
+            F = op.apply_factored(U, V)
+            return F @ V, F.T @ U
+    else:
+        projected = form.project
     P, _ = _flow_data(projected, W, m)
     ratio = np.empty(W.shape)
     base = np.inf
@@ -544,23 +570,24 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     * S-step: ``U1^T F V = E bd(S) D`` with ``E = U1^T L(U1)``;
     * L-step: ``F^T U1 = R(V) bd(S^T) E^T``.
 
-    Otherwise every substep calls ``op.apply_projected``; the L-step
-    evaluates at the factor pair ``(U1, V S^T)``, whose product is ``X``.
+    Otherwise every substep assembles ``F`` with one ``op.apply_factored``
+    call; the L-step evaluates at the factor pair ``(U1, V S^T)``, whose
+    product is ``X``.
 
     Stops when ``||X_{k+1} - X_k||_F <= tol * h``, or after ``max_steps``
     steps; ``details["stop"]`` says which (``"converged"`` or
     ``"budget"``).  The distance comes from the factors of the two states
     in ``O((m + n) r^2)`` (:func:`_step_distance`), so no step forms the
-    ``m x n`` iterate; ``X`` is formed once, for the report.  A step costs
-    two lifts (or three projected applications) plus ``O((m + n) r^2)``
-    dense algebra.  A warm start whose core ``S`` is zero or not finite,
-    or whose ``U`` or ``V`` is not orthonormal
+    ``m x n`` iterate; ``X`` is formed once, for the report, which reads it
+    through ``op.apply_full`` as every solver's report does.  A step costs
+    two lifts (or three assembled images) plus ``O((m + n) r^2)`` dense
+    algebra.  A warm start whose core ``S`` is zero or not finite, or whose
+    ``U`` or ``V`` is not orthonormal
     (``||Q^T Q - I||_F > ORTHONORMAL_TOL``), is rejected with ValueError.
     """
     t0 = time.perf_counter()
     m, n = op.shape
-    if not 1 <= rank <= min(m, n):
-        raise ValueError(f"rank must lie in [1, {min(m, n)}], got {rank}")
+    _check_rank(rank, min(m, n))
     step = _check_step(op.default_step() if h is None else h, "step size h")
     _check_tol(tol)
     _check_budget(max_steps, "max_steps")
@@ -586,26 +613,19 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
 
     # each substep's image at its iterate X, projected onto the factors,
     # and the Rayleigh value <A(X), X>
-    form = op.narrow_factor_form(rank)
+    form = _narrow_form(op, rank)
     if form is None:
-        def projected(U_, V_):  # F V_, F^T U_ and <F, X> = <F V_, U_>
-            FV, FtU = op.apply_projected(U_, V_)
-            return FV, FtU, float(np.vdot(FV, U_))
-
         def k_image(U, S, V, US):  # F V at X = U S V^T, US = U S
-            FV, _, rho = projected(US, V)
-            return FV, rho
+            FV = op.apply_factored(US, V) @ V
+            return FV, float(np.vdot(FV, US))
 
         def s_image(U1, S, V):  # U1^T F V at X = U1 S V^T
-            FV, _, rho = projected(U1 @ S, V)
+            FV, rho = k_image(U1, S, V, U1 @ S)
             return U1.T @ FV, rho
 
         def l_image(U1, S, V, VS):  # F^T U1 at X = U1 S V^T, VS = V S^T
-            _, FtU, rho = projected(U1, VS)
-            return FtU, rho
-
-        def image(U, S, V):
-            return op.apply_factored(U @ S, V)
+            F = op.apply_factored(U1, VS)
+            return F.T @ U1, float(np.vdot(F @ VS, U1))
     else:
         K = form.blocks
         left, right = _last(form.left), _last(form.right)
@@ -626,9 +646,6 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         def l_image(U1, S, V, VS):
             FtU = right(V) @ bd(S.T, E(U1).T)
             return FtU, float(np.vdot(FtU, VS))
-
-        def image(U, S, V):
-            return left(U) @ bd(S, right(V).T)
 
     # the substeps' QR runs without thin_qr's sign convention: a column
     # sign flip of a Q is exact in floating point and absorbed by the core,
@@ -669,4 +686,4 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         S = -S
         X = -X
     return _report("psi", op, X, t0, k, stop, {"h": step},
-                   Y=image(U, S, V), psi_state=PSIState(U, S, V))
+                   psi_state=PSIState(U, S, V))

@@ -11,13 +11,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nneig import bench
+from nneig import bench, cli
 from nneig.cli import main
 from nneig.bench import (
     CSV_HEADER,
@@ -366,6 +367,48 @@ class TestCLI:
         assert out.returncode == 1
         assert "h0" in out.stderr
 
+    def test_solve_power_nmf_time_includes_the_fit(self, tmp_path,
+                                                   monkeypatch):
+        # the compressions are charged the reference, the truncation and
+        # the HALS fit, as in the bench
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "hadamard-growth", "--n", "9",
+                "--out", str(path))
+        fit = cli.nmf
+
+        def slow_nmf(*args, **kwargs):
+            time.sleep(0.5)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "nmf", slow_nmf)
+        rep = tmp_path / "report.json"
+        assert main(["solve", str(path), "--method", "power+nmf", "--rank",
+                     "2", "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["wall_time_s"] >= 0.5
+
+    @pytest.mark.parametrize("method", ["power", "rneg"])
+    @pytest.mark.parametrize("field", ["eps", "eps_r", "r0"])
+    def test_solve_non_finite_growth_parameter_is_config_error(
+            self, tmp_path, capsys, method, field):
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "separable-growth", "--n", "6",
+                "--out", str(path))
+        d = json.loads(path.read_text())
+        d[field] = float("nan")
+        path.write_text(json.dumps(d))
+        assert main(["solve", str(path), "--method", method]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["eps", "eps_r", "r0"])
+    def test_bench_non_finite_growth_parameter_is_config_error(
+            self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"kind": "separable-growth", "n": 6, "rank": 1,
+             field: float("nan")}))
+        assert main(["bench", str(cfg_path)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_solve_missing_file_is_io_error(self):
         out = run_cli("solve", "/nonexistent/op.json", "--method", "power")
         assert out.returncode == 3
@@ -461,7 +504,8 @@ for op in (block, generate_random_grid(RandomGridSpec(n=6)),
            SeparableGrowthOperator.standard(6)):
     op.apply_full(U @ U.T)
     op.apply_factored(U, U)
-    op.apply_projected(U, U)
+    if op.factor_form() is not None:
+        op.factor_form().project(U, U)
 run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2, trials=1))
 assert "scipy" not in sys.modules, "scipy was imported"
 """

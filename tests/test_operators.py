@@ -27,7 +27,7 @@ from nneig.operators import (
     save_operator,
     vectorize_operator,
 )
-from nneig.solvers import rayleigh
+from nneig.solvers import _narrow_form, rayleigh
 
 # two-sided symmetric walk on the 3-cycle-with-reflecting-ends chain:
 # left/right moves each with probability 1/2
@@ -295,6 +295,21 @@ class TestGrowthOperators:
                                     np.ones((4, 4)))
         assert op.default_step() == np.inf
 
+    @pytest.mark.parametrize("field", ["eps", "eps_r", "r0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        # a NaN or infinite rate would only surface as a non-finite solve
+        args = dict(eps=0.1, r0=0.3, eps_r=0.01)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SeparableGrowthOperator(neumann_laplacian(4), phi=np.ones(4),
+                                    psi=np.ones(4), **args)
+        if field != "r0":
+            del args["r0"]
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                HadamardGrowthOperator(neumann_laplacian(4),
+                                       R=np.ones((4, 4)), **args)
+
     def test_vectorize_rejects_growth(self):
         with pytest.raises(TypeError):
             vectorize_operator(HadamardGrowthOperator.standard(4))
@@ -440,6 +455,9 @@ class TestFactorForm:
         assert P.shape == Q.shape == (10, 2 * form.blocks)
         F = op.apply_factored(U, V)
         assert np.abs(P @ Q.T - F).max() <= 1e-12 * max(1.0, np.abs(F).max())
+        # the form's projection onto the factors, never forming F
+        for got, want in zip(form.project(U, V), (F @ V, F.T @ U)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         # column linearity: lift(U M) = lift(U) kron(I, M)
         I_M = np.kron(np.eye(form.blocks), M)
         for lift, W in ((form.left, U), (form.right, V)):
@@ -452,17 +470,21 @@ class TestFactorForm:
         assert _sparse_grid().factor_form() is None
         mixed = MarkovGridOperator(_sparse_grid().terms + _dense_grid().terms)
         assert mixed.factor_form() is None
-        # a form at least as wide as the matrix is not used
+        # the solvers do not lift through a form at least as wide as the
+        # matrix
         op = _full_rank_hadamard()
         assert op.factor_form().blocks == 12
-        assert op.narrow_factor_form(1) is None
+        assert _narrow_form(op, 1) is None
         hadamard = HadamardGrowthOperator.standard(10)
-        assert hadamard.narrow_factor_form(2) is hadamard.factor_form()
-        assert hadamard.narrow_factor_form(3) is None
+        assert _narrow_form(hadamard, 2) is hadamard.factor_form()
+        assert _narrow_form(hadamard, 3) is None
 
 
 class TestApplyProjected:
-    # (builder, whether the projection assembles the image first)
+    """The image ``F = A(U V^T)`` projected back onto the factors,
+    ``(F @ V, F.T @ U)``, as the factored solvers evaluate it."""
+
+    # (builder, whether a rank-2 solve assembles the image)
     FAMILIES = {
         "dense-grid": (_dense_grid, False),
         "sparse-grid": (_sparse_grid, True),
@@ -476,16 +498,17 @@ class TestApplyProjected:
            arrays(float, (10, 2), elements=st.floats(0, 1, width=16)))
     @settings(max_examples=50, deadline=None)
     def test_matches_assembled_image_property(self, family, U, V):
+        # the solvers lift through the form exactly where it is narrow, and
+        # its projection matches that of the dense image
         build, assembles = self.FAMILIES[family]
         op = build()
-        calls = []
-        factored = op.apply_factored
-        op.apply_factored = lambda *a: calls.append(1) or factored(*a)
-        FV, FtU = op.apply_projected(U, V)
-        assert len(calls) == assembles
-        F = factored(U, V)
-        for got, want in ((FV, F @ V), (FtU, F.T @ U)):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        form = _narrow_form(op, 2)
+        assert (form is None) == assembles
+        if form is not None:
+            F = op.apply_full(U @ V.T)
+            for got, want in zip(form.project(U, V), (F @ V, F.T @ U)):
+                assert (np.linalg.norm(got - want)
+                        <= 1e-12 * np.linalg.norm(want))
 
     def test_hadamard_growth_rank_from_svd(self):
         # r0 + sin cos^T has numerical rank 2: two diffusion blocks plus
@@ -505,8 +528,7 @@ class TestApplyProjected:
                                hadamard.R)
         separable = SeparableGrowthOperator.standard(20)
         assert calls == []
-        U = np.ones((20, 2))
         for op in (hadamard, separable):
-            op.apply_projected(U, U)
-            op.apply_projected(U, U)
+            op.factor_form()
+            op.factor_form()
         assert calls == [1, 1]

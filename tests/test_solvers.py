@@ -34,6 +34,7 @@ from nneig.operators import (
 from nneig.solvers import (
     ORTHONORMAL_TOL,
     PSIState,
+    _narrow_form,
     _normalize,
     _step_distance,
     krylov_reference,
@@ -295,10 +296,10 @@ class TestRNeg:
         assert rep.details["h_max"] > 1.0
 
     def test_rejected_count_matches_projected_applies(self):
-        # one projected apply at the start and one per trial step, accepted
+        # one assembled image at the start and one per trial step, accepted
         # or rejected; perfbench's tracer derives rejections from the same
         # identity
-        op = CountedProjections(demo_clustered_walk())
+        op = AssembledImage(demo_clustered_walk())
         rep = rneg_solve(op, rank=2, seed=0)
         assert rep.details["stop"] == "converged"
         assert rep.details["rejected"] > 0
@@ -417,7 +418,7 @@ class TestPSI:
     def test_warm_start_not_orthonormal_rejected(self, side):
         # the splitting and its stop test assume orthonormal factors; a
         # start off by more than ORTHONORMAL_TOL is rejected before the
-        # first projected application
+        # first image
         rng = np.random.default_rng(0)
         U, _ = thin_qr(rng.standard_normal((9, 2)))
         V, _ = thin_qr(rng.standard_normal((9, 2)))
@@ -426,7 +427,7 @@ class TestPSI:
                           (1.0 + ORTHONORMAL_TOL, False), (2.0, False)):
             F = {"U": U, "V": V}
             F[side] = F[side] * np.array([1.0, scale])
-            op = CountedProjections(HadamardGrowthOperator.standard(9))
+            op = AssembledImage(HadamardGrowthOperator.standard(9))
             state = PSIState(F["U"], S, F["V"])
             if ok:
                 psi_solve(op, rank=2, init=state, max_steps=1)
@@ -521,17 +522,19 @@ def test_step_distance_matches_dense(m, extra, r, size, seed, wide):
 
 class AssembledImage(LinearMatrixOperator):
     """Delegates ``apply_full`` and ``apply_factored`` only, so the solvers
-    see the default ``factor_form``, None, and ``apply_projected``
-    assembles the image."""
+    see the default ``factor_form``, None, and assemble the image; counts
+    the ``apply_factored`` calls."""
 
     def __init__(self, op):
         self.op = op
         self.shape = op.shape
+        self.calls = 0
 
     def apply_full(self, X):
         return self.op.apply_full(X)
 
     def apply_factored(self, U, V):
+        self.calls += 1
         return self.op.apply_factored(U, V)
 
     def default_step(self):
@@ -539,18 +542,6 @@ class AssembledImage(LinearMatrixOperator):
 
     def default_shift(self):
         return self.op.default_shift()
-
-
-class CountedProjections(AssembledImage):
-    """Delegates ``apply_projected`` as well, counting its calls."""
-
-    def __init__(self, op):
-        super().__init__(op)
-        self.calls = 0
-
-    def apply_projected(self, U, V):
-        self.calls += 1
-        return self.op.apply_projected(U, V)
 
 
 def _counted_form(op, calls):
@@ -569,9 +560,9 @@ def _counted_form(op, calls):
     op.factor_form = lambda: counted_form
 
     def forbidden(*args):
-        raise AssertionError("the image was assembled or projected")
+        raise AssertionError("the image was assembled")
 
-    op.apply_projected = op.apply_factored = forbidden
+    op.apply_factored = forbidden
 
 
 class TestProjectedImagePath:
@@ -594,7 +585,7 @@ class TestProjectedImagePath:
              + np.outer(x, x ** 2))
         base = HadamardGrowthOperator.standard(n)
         op = HadamardGrowthOperator(base.A, base.eps, base.eps_r, R)
-        assert op.narrow_factor_form(3).blocks == 5  # the factor form is used
+        assert _narrow_form(op, 3).blocks == 5  # the factor form is used
         return op
 
     def test_psi_matches_assembled_image(self):
@@ -609,7 +600,7 @@ class TestProjectedImagePath:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_psi_matches_assembled_image_family(self, family):
         op = self.FAMILIES[family]()
-        assert op.narrow_factor_form(3) is not None
+        assert _narrow_form(op, 3) is not None
         a = psi_solve(op, rank=3, max_steps=200, seed=3)
         b = psi_solve(AssembledImage(op), rank=3, max_steps=200, seed=3)
         assert a.iterations == b.iterations
@@ -628,8 +619,9 @@ class TestProjectedImagePath:
 
     @pytest.mark.parametrize("family", ["hadamard", *sorted(FAMILIES)])
     def test_psi_lifts_each_factor_once_per_step(self, family):
-        # over k steps psi lifts U_0 .. U_k and V_0 .. V_k once each, the
-        # last V for the report's image, and never assembles or projects
+        # over k steps psi lifts U_0 .. U_k and V_0 .. V_{k-1} once each
+        # and never assembles the image; the report reads X through
+        # apply_full
         op = (self.nonsymmetric_growth() if family == "hadamard"
               else self.FAMILIES[family]())
         calls = {"left": 0, "right": 0}
@@ -637,7 +629,16 @@ class TestProjectedImagePath:
         k = 7
         rep = psi_solve(op, rank=3, max_steps=k, seed=1)
         assert rep.iterations == k and not rep.converged
-        assert calls == {"left": k + 1, "right": k + 1}
+        assert calls == {"left": k + 1, "right": k}
+
+    def test_psi_assembles_three_images_per_step(self):
+        # without a narrow form each substep assembles its image once, and
+        # nothing is assembled after the last step
+        op = AssembledImage(self.nonsymmetric_growth())
+        k = 7
+        rep = psi_solve(op, rank=3, max_steps=k, seed=1)
+        assert rep.iterations == k and not rep.converged
+        assert op.calls == 3 * k
 
     def test_psi_step_matches_dense_substeps(self):
         # one step against the three substeps written out on the dense
