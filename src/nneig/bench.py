@@ -19,8 +19,9 @@ from .matcore import FactorPair
 # power_reference stays importable from here for callers that wrap the
 # module's solver names; the benchmark reference is krylov_reference
 from .solvers import (EigenReport, PSIState, _check_budget,  # noqa: F401
-                      _check_rank, _check_step, _check_tol, krylov_reference,
-                      power_reference, psi_solve, rayleigh, rneg_solve)
+                      _check_int, _check_rank, _check_step, _check_tol,
+                      krylov_reference, power_reference, psi_solve, rayleigh,
+                      rneg_solve)
 
 __all__ = [
     "KNOWN_METHODS",
@@ -59,6 +60,13 @@ class MetricsRow:
                 self.neg_count, self.converged)
 
 
+def _as_tuple(value, name: str) -> tuple:
+    # a string is iterable too, but its letters are no list
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of a benchmark run.
@@ -74,9 +82,10 @@ class ExperimentConfig:
     The ``power`` row is the reference eigenpair from
     :func:`~nneig.solvers.krylov_reference`: ``power_tol`` is its residual
     tolerance and ``power_iters`` its budget of operator applications.
-    ``power_damping`` is still parsed, since shipped configs carry it, but
-    has no effect on the reference: Krylov spaces do not change under
-    ``A -> (1 - d) (A + sigma I) + d I``.
+    ``power_damping`` has no effect on the reference: Krylov spaces do not
+    change under ``A -> (1 - d) (A + sigma I) + d I``.  It is still
+    parsed because the benchmark workloads in ``perfbench/workloads/``
+    carry it; the configs in ``configs/`` do not.
     """
 
     kind: str
@@ -102,11 +111,12 @@ class ExperimentConfig:
     power_tol: float = 1e-11
     power_iters: int = 500_000
     power_damping: float = 0.5
-    # rneg_h0 is the initial step of the sign-constrained flow (None = the
-    # operator's default step, stiffness-derived on the growth families);
-    # the step then grows under a ceiling learned from rejected trials.
-    # rneg_tol is its stationarity tolerance: the run stops once an
-    # unclamped step moves the factors by <= tol * h / h0.
+    # rneg_h0 is only the initial step of the sign-constrained flow (None
+    # = the operator's default step, stiffness-derived on the growth
+    # families); the step then grows under a ceiling learned from rejected
+    # trials.  rneg_tol is its stationarity tolerance: the run stops once
+    # an unclamped step ends at a projected-gradient norm of at most
+    # tol / default step, whatever rneg_h0 is.
     rneg_h0: float | None = None
     rneg_tol: float = 1e-8
     rneg_nmax: int = 50_000
@@ -135,7 +145,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        self.methods = tuple(self.methods)
+        self.methods = _as_tuple(self.methods, "methods")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         unknown = set(self.methods) - set(KNOWN_METHODS)
@@ -143,14 +153,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.ode_init not in ("auto", "random", "reference"):
             raise ValueError(f"unknown ode_init {self.ode_init!r}")
+        _check_int(self.n, "n")
+        _check_int(self.seed, "seed")
         if self.sizes is not None:
-            self.sizes = tuple(int(s) for s in self.sizes)
+            self.sizes = tuple(_check_budget(s, "sizes")
+                               for s in _as_tuple(self.sizes, "sizes"))
         size = self.n
         if self.kind == "block-grid" and self.sizes is not None:
             size = sum(self.sizes)
         _check_rank(self.rank, size)
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        _check_budget(self.trials, "trials")
         # the solvers' own checks, run before any trial builds an operator
         for name in ("power_tol", "psi_tol", "rneg_tol"):
             _check_tol(getattr(self, name), name)

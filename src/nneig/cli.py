@@ -74,7 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True, choices=KNOWN_METHODS)
     s.add_argument("--rank", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=1e-8,
+                   help="stop tolerance: the reference residual "
+                        "||A(X) - lam X||_F for power, power+svd and "
+                        "power+nmf; the step motion ||X_k+1 - X_k||_F / h "
+                        "for psi; the projected-gradient norm times the "
+                        "operator's default step for rneg")
     s.add_argument("--max-iters", type=budget, default=None)
     s.add_argument("--h0", type=float, default=None,
                    help="initial step for rneg, fixed step for psi "

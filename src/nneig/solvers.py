@@ -56,7 +56,8 @@ class EigenReport:
     ``converged == (stop == "converged")``.  The other keys are outcomes
     and resolved defaults of the method: ``shift`` (power), ``basis``,
     ``restarts``, ``breakdown`` (Krylov), ``h`` (psi), and ``h0``,
-    ``rejected``, ``h_min``, ``h_max`` (rneg).
+    ``grad`` (the final projected-gradient norm), ``rejected``, ``h_min``,
+    ``h_max`` (rneg).
     """
 
     method: str
@@ -157,14 +158,21 @@ def _check_step(h: float, name: str) -> float:
     return h
 
 
+def _check_int(value: int, name: str) -> int:
+    # a bool is an int to Python, but True is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_budget(budget: int, name: str) -> int:
-    if budget < 1:
+    if _check_int(budget, name) < 1:
         raise ValueError(f"{name} must be at least 1, got {budget}")
     return budget
 
 
 def _check_rank(rank: int, size: int) -> None:
-    if not 1 <= rank <= size:
+    if not 1 <= _check_int(rank, "rank") <= size:
         raise ValueError(f"rank must lie in [1, {size}], got {rank}")
 
 
@@ -398,20 +406,23 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     rejected.  ``MAX_REJECTS`` bounds the halvings per step as a final
     safety; the smallest trial is then taken anyway.
 
-    Termination is step-relative: ``max(dU, dV) <= tol * h_use / h0``,
-    where ``dU``, ``dV`` are the Frobenius changes of the normalized
-    factors over the last accepted unclamped step of size ``h_use``, i.e.
-    the gradient-norm threshold that ``tol`` sets at ``h = h0``, applied at
-    any step size.  ``nmax`` accepted steps at most.  A step size that
-    underflows ``1e-16`` stops the run with ``converged=False``.
+    Termination is on stationarity: the run stops at the first accepted
+    step not shortened by the crossing cap whose joint projected-gradient
+    norm ``g``, the number the acceptance test reads, is at most
+    ``tol / op.default_step()``.  That is the norm at which one default
+    step moves the factors by about ``tol``; it does not depend on ``h0``,
+    which only seeds the step.  ``nmax`` accepted steps at most.  A step
+    size that underflows ``1e-16`` stops the run with ``converged=False``.
     ``details`` carries ``stop`` (``"converged"``, ``"budget"`` or
-    ``"stalled"``), the count of ``rejected`` trials and the range
-    ``h_min``/``h_max`` of the accepted step sizes.
+    ``"stalled"``), the resolved ``h0``, the final joint norm ``grad``,
+    the count of ``rejected`` trials and the range ``h_min``/``h_max`` of
+    the accepted step sizes.
     """
     t0 = time.perf_counter()
     m, n = op.shape
     _check_rank(rank, min(m, n))
-    h_init = _check_step(op.default_step() if h0 is None else h0, "h0")
+    h_default = op.default_step()
+    h_init = _check_step(h_default if h0 is None else h0, "h0")
     _check_tol(tol)
     _check_budget(nmax, "nmax")
     rng = np.random.default_rng(seed)
@@ -437,9 +448,11 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             return F @ V, F.T @ U
     else:
         projected = form.project
-    P, _ = _flow_data(projected, W, m)
+    P, g = _flow_data(projected, W, m)
+    # the stop threshold; a division, so a zero operator's infinite
+    # default step gives 0, not NaN
+    g_stop = tol / h_default
     ratio = np.empty(W.shape)
-    base = np.inf
     h = h_init
     h_ceil = np.inf
     h_floor = 1e-16
@@ -471,7 +484,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
             if _normalize(Wt, m):
                 P_t, g_t = _flow_data(projected, Wt, m)
-                if g_t <= ACCEPT_SLACK * base or rejects >= MAX_REJECTS:
+                if (not accepted_steps or g_t <= ACCEPT_SLACK * g
+                        or rejects >= MAX_REJECTS):
                     break
             rejected += 1
             rejects += 1
@@ -485,15 +499,9 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         accepted_steps += 1
         h_min = min(h_min, h_use)
         h_max = max(h_max, h_use)
-        # a boundary-contact step moves the factors very little however far
-        # the iterate is from stationarity; only an unclamped step counts
-        # for the termination test.  Both factors must settle: one factor
-        # alone can freeze early (its gradient vanishes identically once
-        # it aligns, e.g. with a shared Perron direction) while the other
-        # is still moving.
-        settled = h_use == h and max(
-            _norm(Wt[:m] - W[:m]), _norm(Wt[m:] - W[m:])) <= tol * h_use / h_init
-        W, P, base = Wt, P_t, g_t
+        # only an unclamped step counts for the termination test
+        settled = h_use == h and g_t <= g_stop
+        W, P, g = Wt, P_t, g_t
         h = min(h * BETA_ACC, h_ceil)
         if settled:
             stop = "converged"
@@ -501,7 +509,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
 
     U, V = W[:m], W[m:]
     return _report("rneg", op, U @ V.T, t0, accepted_steps, stop, {
-        "h0": h_init, "rejected": rejected,
+        "h0": h_init, "grad": g, "rejected": rejected,
         "h_min": h_min if accepted_steps else None,
         "h_max": h_max if accepted_steps else None,
     }, factors=FactorPair(U, V))

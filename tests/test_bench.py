@@ -89,13 +89,18 @@ class TestExperimentConfig:
         ("psi_h", 0.0), ("rneg_h0", np.nan), ("power_iters", 0),
         ("rneg_nmax", 0), ("psi_steps", -1), ("methods", ()),
         ("rank", 0), ("rank", 5),
+        # counts that are not integers, and lists given as a string
+        ("rneg_nmax", 50.5), ("psi_steps", 10.5), ("power_iters", 1e3),
+        ("rank", 2.0), ("rank", True), ("trials", 1.5),
+        ("n", 4.0), ("seed", 0.5), ("sizes", "55"), ("sizes", [5.7, 4.2]),
+        ("methods", "rneg"),
     ])
     def test_bad_solver_knob_rejected(self, name, value):
         # the field is checked at load, as the solver would check it, and
         # named in the message
+        fields = {"kind": "block-grid", "n": 4, "rank": 1, name: value}
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig(kind="random-grid", n=4, **{"rank": 1,
-                                                         name: value})
+            ExperimentConfig(**fields)
 
     def test_rank_bounded_by_block_sizes(self):
         # a block grid with explicit sizes has sum(sizes) rows, whatever n
@@ -461,7 +466,16 @@ class TestCLI:
         {"methods": []},
         {"rank": 0},
         {"rank": 7},
-    ], ids=["budgets", "nan-tol", "no-methods", "rank-0", "rank-above-n"])
+        {"kind": "block-grid", "sizes": "55"},
+        {"kind": "block-grid", "sizes": [5.7, 4.2]},
+        {"rneg_nmax": 50.5},
+        {"psi_steps": 10.5},
+        {"rank": 2.0},
+        {"rank": True},
+        {"methods": "rneg"},
+    ], ids=["budgets", "nan-tol", "no-methods", "rank-0", "rank-above-n",
+            "sizes-string", "sizes-float", "nmax-float", "psi-steps-float",
+            "rank-float", "rank-bool", "methods-string"])
     def test_bench_bad_solver_knob_fails_before_any_trial(
             self, tmp_path, monkeypatch, knobs):
         # a knob no solver accepts is a config error before any trial

@@ -265,6 +265,11 @@ class TestRNeg:
             rneg_solve(op, rank=0)
         with pytest.raises(ValueError, match="rank"):
             rneg_solve(op, rank=4)
+        # counts are integers, as the bench config's are
+        with pytest.raises(ValueError, match="rank"):
+            rneg_solve(op, rank=1.0)
+        with pytest.raises(ValueError, match="nmax"):
+            rneg_solve(op, rank=1, nmax=2.5)
         with pytest.raises(ValueError, match="h0"):
             rneg_solve(op, rank=1, h0=-0.1)
         with pytest.raises(ValueError, match="init"):
@@ -285,7 +290,6 @@ class TestRNeg:
 
     @pytest.mark.parametrize("h0", [np.inf, np.nan])
     def test_non_finite_step_rejected(self, h0):
-        # the step-relative stop divides by h0
         with pytest.raises(ValueError, match="h0"):
             rneg_solve(demo_path_walk(), rank=1, h0=h0)
 
@@ -341,6 +345,31 @@ class TestRNeg:
         rep = rneg_solve(build_operator(cfg, 0), 3, seed=0)
         assert rep.converged
         assert rep.neg_count == 0
+
+    def test_initial_step_does_not_move_the_answer(self):
+        # trial 0 of the shipped random-grid config; the stop reads the
+        # projected gradient at a threshold set by the default step, so
+        # a 40x larger first step ends the solve about as accurate
+        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0)
+        op = build_operator(cfg, 0)
+        ref = krylov_reference(op, tol=cfg.power_tol)
+        errs = []
+        for h0 in (None, 0.4):
+            rep = rneg_solve(op, 3, h0=h0, seed=0)
+            assert rep.converged
+            errs.append(best_scaled_error(rep.X, ref.X))
+        assert max(errs) <= 2 * min(errs)
+
+    def test_grad_reports_the_stop_quantity(self):
+        # the projected-gradient norm the stop reads, at its default tol
+        walk = demo_clustered_walk()
+        done = rneg_solve(walk, rank=2, seed=0)
+        assert done.details["stop"] == "converged"
+        assert done.details["grad"] <= 1e-8 / walk.default_step()
+        growth = HadamardGrowthOperator.standard(20)
+        cut = rneg_solve(growth, rank=3, seed=0, nmax=50)
+        assert cut.details["stop"] == "budget"
+        assert cut.details["grad"] > 1e-8 / growth.default_step()
 
 
 class TestPSI:
