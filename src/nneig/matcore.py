@@ -12,8 +12,10 @@ tolerance is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "FactorPair",
@@ -100,12 +102,40 @@ def project_feasible_direction(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.where(W > 0, Z, np.maximum(Z, 0.0))
 
 
+@lru_cache(maxsize=32)
+def _upper(k: int) -> np.ndarray:
+    """Read-only mask of the upper triangle of a ``k x k`` matrix."""
+    mask = np.arange(k)[:, None] <= np.arange(k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(M)`` for a 2-D float ``M`` with ``m >= k``, bit for
+    bit, without its wrapper.
+
+    Calls the two LAPACK kernels ``np.linalg.qr`` calls (``geqrf`` on a copy
+    of ``M``, then ``orgqr``) and masks ``R`` out of the factored copy.  The
+    wrapper's ``errstate`` context, its ``triu`` and its dtype handling cost
+    two to three times the kernels on the small inputs the splitting
+    integrator factors every step.  Nothing is validated: non-finite input
+    gives non-finite factors, which the caller's own checks see, and the
+    caller's error state applies.
+    """
+    a = np.array(M, dtype=float)  # geqrf overwrites its input
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    Q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    k = a.shape[1]
+    return Q, np.where(_upper(k), a[:k], 0.0)
+
+
 def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with a nonnegative-diagonal sign convention.
 
-    Wraps the LAPACK Householder factorization and flips column signs so
-    that ``diag(R) >= 0``, which makes the factorization unique for
-    full-rank input and deterministic in the rank-deficient case.
+    The Householder factorization of :func:`_qr` (that of
+    ``np.linalg.qr``), with column signs flipped so that ``diag(R) >= 0``,
+    which makes the factorization unique for full-rank input and
+    deterministic in the rank-deficient case.
 
     Parameters
     ----------
@@ -128,7 +158,7 @@ def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, k = M.shape
     if m < k:
         raise ValueError(f"thin QR requires m >= k, got shape {M.shape}")
-    Q, R = np.linalg.qr(M)
+    Q, R = _qr(M)
     d = np.where(R.diagonal() < 0, -1.0, 1.0)
     Q *= d
     R *= d[:, None]

@@ -306,8 +306,17 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         self._form = None
 
     def apply_full(self, X: np.ndarray) -> np.ndarray:
+        # eps (A X + X A^T) + g (G o X), accumulated in place; the
+        # operations and their order are those of that expression, so the
+        # bits are too
         X = np.asarray(X, dtype=float)
-        return self.eps * (self.A @ X + X @ self.A.T) + self.g * (self.G * X)
+        Y = self.A @ X
+        Y += X @ self.A.T
+        Y *= self.eps
+        T = self.G * X
+        T *= self.g
+        Y += T
+        return Y
 
     def apply_factored(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=float)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import FactorPair, project_feasible_direction, thin_qr
+from .matcore import FactorPair, _qr, project_feasible_direction, thin_qr
 from .operators import FactorForm, LinearMatrixOperator
 
 __all__ = [
@@ -118,7 +118,7 @@ def rayleigh(op: LinearMatrixOperator, X: np.ndarray,
 
 
 def _check_finite(lam: float, what: str) -> None:
-    if not np.isfinite(lam):
+    if not math.isfinite(lam):
         raise SolverError(f"{what} became non-finite")
 
 
@@ -326,18 +326,26 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
                     "breakdown": breakdown}, Y=Y)
 
 
-def _normalize(W: np.ndarray, m: int) -> bool:
+def _normalize(W: np.ndarray,
+               m: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Scale the stacked factors ``W = [U; V]`` in place so that ``U V^T``
-    has unit Frobenius norm; False for a zero product."""
-    g = float(((W[:m].T @ W[:m]) * (W[m:].T @ W[m:])).sum())  # ||U V^T||^2
+    has unit Frobenius norm.  Returns the Grams ``(U^T U, V^T V)`` of the
+    scaled factors, or None for a zero product."""
+    GU = W[:m].T @ W[:m]
+    GV = W[m:].T @ W[m:]
+    g = float(np.vdot(GU, GV))  # ||U V^T||^2
     if g <= 0.0:
-        return False
-    W /= math.sqrt(math.sqrt(g))
-    return True
+        return None
+    c = math.sqrt(g)  # the square of the scale W is divided by
+    W /= math.sqrt(c)
+    GU /= c
+    GV /= c
+    return GU, GV
 
 
-def _flow_data(projected, W: np.ndarray, m: int):
-    """Constrained flow data at normalized nonnegative factors ``W = [U; V]``.
+def _flow_data(projected, W: np.ndarray, m: int, grams):
+    """Constrained flow data at normalized nonnegative factors ``W = [U; V]``
+    whose Grams ``(U^T U, V^T V)`` are ``grams``.
 
     Returns the gradients of the flow ``A(X) - rho X`` pushed onto each
     factor, stacked like ``W`` and projected onto the directions feasible
@@ -345,12 +353,13 @@ def _flow_data(projected, W: np.ndarray, m: int):
     returns ``(F @ V, F.T @ U)`` for ``F = A(U V^T)``.
     """
     U, V = W[:m], W[m:]
+    GU, GV = grams
     FV, FtU = projected(U, V)
-    lam = float((FtU * V).sum())  # <A(X), UV^T> without forming UV^T
+    lam = float(np.vdot(FtU, V))  # <A(X), UV^T> without forming UV^T
     _check_finite(lam, "factored iterate")
     G = np.empty_like(W)
-    np.subtract(FV, lam * (U @ (V.T @ V)), out=G[:m])
-    np.subtract(FtU, lam * (V @ (U.T @ U)), out=G[m:])
+    np.subtract(FV, U @ (lam * GV), out=G[:m])
+    np.subtract(FtU, V @ (lam * GU), out=G[m:])
     P = project_feasible_direction(W, G)
     return P, _norm(P)
 
@@ -436,7 +445,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     # the factors live stacked, W = [U; V], so every entrywise operation
     # of a step runs once over both
     W = np.concatenate((U, V))
-    if not _normalize(W, m):
+    grams = _normalize(W, m)
+    if grams is None:
         raise ValueError("initial factors have zero product")
 
     # the projection through the narrow factor form, else of the
@@ -448,7 +458,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             return F @ V, F.T @ U
     else:
         projected = form.project
-    P, g = _flow_data(projected, W, m)
+    P, g = _flow_data(projected, W, m, grams)
     # the stop threshold; a division, so a zero operator's infinite
     # default step gives 0, not NaN
     g_stop = tol / h_default
@@ -481,9 +491,10 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
             # entries whose crossing time is hit this step land exactly on
             # the boundary; roundoff residues there would otherwise shrink
             # the next admissible step to nothing
-            Wt[ratio <= h_use * (1.0 + 1e-12)] = 0.0
-            if _normalize(Wt, m):
-                P_t, g_t = _flow_data(projected, Wt, m)
+            np.copyto(Wt, 0.0, where=ratio <= h_use * (1.0 + 1e-12))
+            grams = _normalize(Wt, m)
+            if grams is not None:
+                P_t, g_t = _flow_data(projected, Wt, m, grams)
                 if (not accepted_steps or g_t <= ACCEPT_SLACK * g
                         or rejects >= MAX_REJECTS):
                     break
@@ -589,7 +600,14 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     ``m x n`` iterate; ``X`` is formed once, for the report, which reads it
     through ``op.apply_full`` as every solver's report does.  A step costs
     two lifts (or three assembled images) plus ``O((m + n) r^2)`` dense
-    algebra.  A warm start whose core ``S`` is zero or not finite, or whose
+    algebra, which includes two QRs.  Those call numpy's LAPACK kernels
+    through :func:`~nneig.matcore._qr`, with the factors of
+    ``np.linalg.qr`` bit for bit: that wrapper costs two to three times the
+    kernels on inputs this small, and through it the two QRs were the
+    largest item of a step.
+    On Hadamard growth at n=100, rank 3, a step takes 73-86 us, against
+    93-103 us through ``np.linalg.qr`` (2 cores, one BLAS thread).  A warm
+    start whose core ``S`` is zero or not finite, or whose
     ``U`` or ``V`` is not orthonormal
     (``||Q^T Q - I||_F > ORTHONORMAL_TOL``), is rejected with ValueError.
     """
@@ -655,17 +673,16 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
             FtU = right(V) @ bd(S.T, E(U1).T)
             return FtU, float(np.vdot(FtU, VS))
 
-    # the substeps' QR runs without thin_qr's sign convention: a column
-    # sign flip of a Q is exact in floating point and absorbed by the core,
-    # so the iterate X is the same bit for bit
-    qr = np.linalg.qr
+    # the substeps' QR runs without thin_qr's validation and sign
+    # convention: a column sign flip of a Q is exact in floating point and
+    # absorbed by the core, so the iterate X is the same bit for bit
     US = U @ S
     stop = "budget"
     for k in range(1, max_steps + 1):
         # K-step
         FV, rho = k_image(U, S, V, US)
         _check_finite(rho, "splitting iterate")
-        U1, S_hat = qr(US + step * (FV - rho * US))
+        U1, S_hat = _qr(US + step * (FV - rho * US))
         # S-step (backward)
         UtFV, rho = s_image(U1, S_hat, V)
         _check_finite(rho, "splitting iterate")
@@ -674,7 +691,7 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         VS = V @ S_tilde.T
         FtU, rho = l_image(U1, S_tilde, V, VS)
         _check_finite(rho, "splitting iterate")
-        V1, S1t = qr(VS + step * (FtU - rho * VS))
+        V1, S1t = _qr(VS + step * (FtU - rho * VS))
         s_nrm = _norm(S1t)
         if s_nrm == 0.0 or not math.isfinite(s_nrm):
             raise SolverError("splitting core vanished or blew up")

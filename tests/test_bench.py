@@ -32,7 +32,8 @@ from nneig.bench import (
     run_experiment,
 )
 from nneig.markovgrid import demo_path_walk
-from nneig.operators import load_operator
+from nneig.operators import (HadamardGrowthOperator, load_operator,
+                             save_operator)
 from nneig.solvers import krylov_reference, power_reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -371,6 +372,17 @@ class TestCLI:
                       timeout=60)
         assert out.returncode == 1
         assert "h0" in out.stderr
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_solve_diverging_psi_is_solver_error(self, tmp_path, capsys):
+        # a finite step far past the stability bound is a solver failure,
+        # not a config error
+        path = tmp_path / "op.json"
+        save_operator(HadamardGrowthOperator.standard(20), path)
+        assert main(["solve", str(path), "--method", "psi", "--rank", "2",
+                     "--h0", "1e150"]) == cli.EXIT_SOLVER
+        assert "non-finite" in capsys.readouterr().err
 
     def test_solve_power_nmf_time_includes_the_fit(self, tmp_path,
                                                    monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from nneig.matcore import (
     FactorPair,
+    _qr,
     as_matrix,
     frobenius_inner,
     project_feasible_direction,
@@ -110,6 +111,30 @@ class TestThinQR:
         M[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             thin_qr(M)
+
+
+class TestQR:
+    @given(k=st.integers(1, 10), extra=st.integers(0, 190),
+           seed=st.integers(0, 2**32 - 1),
+           zero=st.one_of(st.none(), st.integers(0, 9)),
+           order=st.sampled_from("CF"))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_numpy(self, k, extra, seed, zero, order):
+        # the splitting integrator's QR calls numpy's LAPACK kernels
+        # directly; its factors must be those of np.linalg.qr, bit for bit
+        rng = np.random.default_rng(seed)
+        M = np.asarray(rng.standard_normal((k + extra, k)), order=order)
+        if zero is not None:
+            M[:, zero % k] = 0.0
+        Q, R = _qr(M)
+        Q0, R0 = np.linalg.qr(M)
+        assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
+        assert np.array_equal(np.signbit(R), np.signbit(R0))
+
+    def test_input_left_unchanged(self):
+        M = np.arange(12.0).reshape(4, 3)
+        _qr(M)
+        assert np.array_equal(M, np.arange(12.0).reshape(4, 3))
 
 
 class TestAsMatrix:

@@ -269,6 +269,18 @@ class TestGrowthOperators:
             op.apply_factored(U, V), op.apply_full(U @ V.T), atol=1e-10
         )
 
+    @pytest.mark.parametrize("family", [HadamardGrowthOperator,
+                                        SeparableGrowthOperator])
+    @pytest.mark.parametrize("n", [2, 9, 100])
+    def test_apply_full_bit_identical_to_expression(self, family, n):
+        # apply_full accumulates in place; the operations and their order
+        # are those of the one-line expression, so are the bits
+        op = family.standard(n)
+        rng = np.random.default_rng(n)
+        for X in (rng.standard_normal((n, n)), rng.random((n, n)).T):
+            expected = op.eps * (op.A @ X + X @ op.A.T) + op.g * (op.G * X)
+            assert np.array_equal(op.apply_full(X), expected)
+
     def test_shift_makes_iteration_nonnegative(self):
         # shifted operator X -> A(X) + sigma X maps the positive cone to
         # itself; spot-check on random nonnegative inputs

@@ -31,9 +31,11 @@ from nneig.operators import (
     SeparableGrowthOperator,
     grid_points,
 )
+from nneig import solvers
 from nneig.solvers import (
     ORTHONORMAL_TOL,
     PSIState,
+    SolverError,
     _narrow_form,
     _normalize,
     _step_distance,
@@ -284,8 +286,13 @@ class TestRNeg:
         # Gram matrices, without forming U V^T
         W = np.concatenate((U, V))
         gram = 0.0
-        if _normalize(W, 4):
+        grams = _normalize(W, 4)
+        if grams is not None:
             gram = (W.max() / max(U.max(), V.max())) ** -2
+            # the Grams it returns are those of the scaled factors
+            for G, F in zip(grams, (W[:4], W[4:])):
+                np.testing.assert_allclose(G, F.T @ F, rtol=1e-14,
+                                           atol=1e-14 * np.abs(G).max())
         assert gram == pytest.approx(np.linalg.norm(U @ V.T), abs=1e-9)
 
     @pytest.mark.parametrize("h0", [np.inf, np.nan])
@@ -507,6 +514,37 @@ class TestPSI:
     def test_non_finite_step_rejected(self, h):
         with pytest.raises(ValueError, match="step"):
             psi_solve(demo_path_walk(), rank=1, h=h)
+
+    @pytest.mark.parametrize("h", [1e150, 1e300])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid:RuntimeWarning")
+    def test_diverging_solve_is_a_solver_error(self, h):
+        # a step far past the stability bound overflows the substeps; the
+        # QR passes the non-finite values on and psi's own checks stop it
+        with pytest.raises(SolverError, match="non-finite|blew up"):
+            psi_solve(HadamardGrowthOperator.standard(20), 2, h=h)
+
+    @pytest.mark.parametrize("assembled", [False, True])
+    def test_qr_bit_identical_to_numpy_qr(self, monkeypatch, assembled):
+        # the substeps' QR calls numpy's LAPACK kernels without the
+        # np.linalg.qr wrapper; with the wrapper patched back in, warm
+        # solves on the two paths give the same iterate bit for bit
+        if assembled:
+            op = build_operator(ExperimentConfig(kind="block-grid", n=50,
+                                                 rank=10, seed=7), 7)
+            rank, steps = 10, 100
+            assert _narrow_form(op, rank) is None
+        else:
+            op = HadamardGrowthOperator.standard(100)
+            rank, steps = 3, 300
+            assert _narrow_form(op, rank) is not None
+        U, s, Vt = np.linalg.svd(krylov_reference(op, tol=1e-8).X)
+        state = PSIState(U[:, :rank], np.diag(s[:rank]), Vt[:rank].T)
+        fast = psi_solve(op, rank, max_steps=steps, init=state)
+        monkeypatch.setattr(solvers, "_qr", np.linalg.qr)
+        ref = psi_solve(op, rank, max_steps=steps, init=state)
+        assert fast.iterations == ref.iterations == steps
+        assert np.array_equal(fast.X, ref.X)
 
     def test_default_step_stable_on_hadamard_growth(self):
         # the stiffness-derived default step keeps the explicit splitting
