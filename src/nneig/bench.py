@@ -77,7 +77,7 @@ class ExperimentConfig:
     generation and solver seeds from ``seed + i`` (PCG64), so a config
     JSON pins the whole run.  ``rank`` must lie in ``[1, size]`` for the
     operator size: ``sum(sizes)`` on a block grid with ``sizes``, else
-    ``n``.
+    ``n``, which must then be at least 1.
 
     The ``power`` row is the reference eigenpair from
     :func:`~nneig.solvers.krylov_reference`: ``power_tol`` is its residual
@@ -158,9 +158,10 @@ class ExperimentConfig:
         if self.sizes is not None:
             self.sizes = tuple(_check_budget(s, "sizes")
                                for s in _as_tuple(self.sizes, "sizes"))
-        size = self.n
         if self.kind == "block-grid" and self.sizes is not None:
             size = sum(self.sizes)
+        else:
+            size = _check_budget(self.n, "n")
         _check_rank(self.rank, size)
         _check_budget(self.trials, "trials")
         # the solvers' own checks, run before any trial builds an operator

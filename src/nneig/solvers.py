@@ -55,9 +55,9 @@ class EigenReport:
     ``"converged"``, ``"budget"`` or (``rneg`` only) ``"stalled"``, and
     ``converged == (stop == "converged")``.  The other keys are outcomes
     and resolved defaults of the method: ``shift`` (power), ``basis``,
-    ``restarts``, ``breakdown`` (Krylov), ``h`` (psi), and ``h0``,
-    ``grad`` (the final projected-gradient norm), ``rejected``, ``h_min``,
-    ``h_max`` (rneg).
+    ``restarts``, ``thick_restarts``, ``explicit_restarts``, ``breakdown``
+    (Krylov), ``h`` (psi), and ``h0``, ``grad`` (the final
+    projected-gradient norm), ``rejected``, ``h_min``, ``h_max`` (rneg).
     """
 
     method: str
@@ -240,46 +240,96 @@ def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     return _report("power", op, X, t0, it, stop, {"shift": sigma})
 
 
-# Arnoldi basis size of krylov_reference.  A larger basis cuts the restarts
-# but holds more vectors of length m * n in memory.
-KRYLOV_BASIS = 10
+# Arnoldi basis size of krylov_reference, the number of rightmost Ritz
+# vectors a thick restart keeps (KRYLOV_KEEP + 1 < KRYLOV_BASIS leaves room
+# for a conjugate pair and a new vector), and the cycles in a row without
+# a new lowest residual after which it restarts explicitly.  A larger
+# basis cuts the restarts but holds more vectors of length m * n in memory.
+KRYLOV_BASIS = 16
+KRYLOV_KEEP = 6
+KRYLOV_PATIENCE = 4
+
+
+def _thick_basis(theta: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Orthonormal real basis ``Z`` of the span of the ``KRYLOV_KEEP``
+    rightmost Ritz vectors, from the values ``theta`` and vectors ``S``
+    that ``np.linalg.eig`` returns.  A conjugate pair that the boundary
+    splits is kept whole, which gives ``Z`` one more column."""
+    # eig lists a conjugate pair next to each other, positive imaginary
+    # part first, and a stable sort keeps it so
+    order = np.argsort(-theta.real, kind="stable")
+    k = KRYLOV_KEEP + int(theta[order[KRYLOV_KEEP - 1]].imag > 0)
+    theta, S = theta[order[:k]], S[:, order[:k]]
+    # the pair s, conj(s) spans what Re s, Im s span
+    Z, _ = np.linalg.qr(np.hstack((S[:, theta.imag >= 0].real,
+                                   S[:, theta.imag > 0].imag)))
+    return Z
 
 
 def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
                      max_iters: int = 500_000) -> EigenReport:
-    """Explicitly restarted Arnoldi; the reference rightmost eigenpair.
+    """Thick-restart Arnoldi; the reference rightmost eigenpair.
 
-    Each cycle builds an Arnoldi basis of at most ``KRYLOV_BASIS`` vectors
-    of length ``m * n`` on ``op.apply_full``, orthogonalized by two passes
-    of classical Gram-Schmidt, and restarts from the real part of the Ritz
-    vector of the rightmost Ritz value, scaled to unit Frobenius norm and
-    positive sum.  The first cycle starts from the uniform matrix, as
+    Each cycle extends an Arnoldi decomposition on ``op.apply_full`` to
+    ``p = KRYLOV_BASIS`` basis vectors of length ``m * n``, orthogonalized
+    by two passes of classical Gram-Schmidt, with projected matrix ``H``.
+    It ends on the real part of the Ritz vector of the rightmost Ritz
+    value, scaled to unit Frobenius norm and positive sum: the restart
+    matrix ``X``.  The first cycle starts from the uniform matrix, as
     :func:`power_reference` does, so on a degenerate rightmost eigenvalue
     both converge to the same eigenmatrix: the Krylov space of the start
     holds one direction of each eigenspace.  Krylov spaces do not change
     under ``A -> a A + b I``, so neither a shift nor damping is needed.
 
     Convergence is declared on the same true residual as the power
-    iteration, ``||A(X) - rho X||_F <= tol``, evaluated once per restart;
-    that product also starts the next cycle.  ``max_iters`` is a budget of
-    operator applications, reported back as ``iterations``.  When it runs
-    out first, the last restart matrix is returned with
-    ``converged=False``.  A basis vector that vanishes under
-    orthogonalization means the Krylov space is invariant; the cycle then
-    ends early and its Ritz vector is an exact eigenvector up to roundoff.
+    iteration, ``||A(X) - rho X||_F <= tol``, evaluated once per cycle on
+    the exact image ``Y = A(X)``.  The next cycle restarts in one of two
+    ways (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Morgan, Math.
+    Comp. 65, 1996):
+
+    * thick: the ``KRYLOV_KEEP`` rightmost Ritz vectors, made real and
+      orthonormalized to ``Z`` (:func:`_thick_basis`), become the first
+      ``k`` basis vectors ``Z^T Q``, with projected block ``Z^T H Z``,
+      and the decomposition's residual vector follows them.  The cycle
+      costs ``p - k`` new applications besides the one for ``Y``, and
+      the eigenvalue cluster it converges on survives the restart;
+    * explicit, from ``X`` and ``Y`` alone, as the first cycle does.  It
+      follows a cycle that broke down or spanned the whole space, and
+      ``KRYLOV_PATIENCE`` cycles in a row whose residual did not fall
+      below the lowest so far.  The Ritz residual of a stiff spectrum
+      rises and falls from cycle to cycle, so one rise is no stall; but a
+      decomposition carried through many thick restarts does stall at its
+      own roundoff floor, above the ``tol`` the bench asks for, and the
+      exact image ``Y`` starts a fresh one.
+
+    ``max_iters`` is a budget of operator applications, reported back as
+    ``iterations``; the last cycle shrinks to fit it.  When it runs out
+    first, the last restart matrix is returned with ``converged=False``.
+    A basis vector that vanishes under orthogonalization means the Krylov
+    space is invariant; the cycle then ends early and its Ritz vector is
+    an exact eigenvector up to roundoff.  ``details`` carries ``basis``
+    (``p``, capped at ``m * n``), ``restarts`` (the cycles run),
+    ``thick_restarts`` and ``explicit_restarts`` (the cycles that started
+    each way, the first one explicit, so the two sum to ``restarts``) and
+    ``breakdown``.
     """
     t0 = time.perf_counter()
     _check_tol(tol)
     _check_budget(max_iters, "max_iters")
     m, n = op.shape
     size = m * n
-    Q = np.empty((min(KRYLOV_BASIS, size), size))
-    H = np.zeros((Q.shape[0], Q.shape[0]))
+    p = min(KRYLOV_BASIS, size)
+    Q = np.empty((p + 1, size))
+    H = np.zeros((p + 1, p))
     X = np.full((m, n), 1.0 / np.sqrt(size))
     Y = op.apply_full(X)
     applies = 1
-    restarts = 0
+    thick = explicit = 0
     breakdown = False
+    # whether the last cycle left a residual vector Q[p] to carry; the
+    # lowest residual so far and the checks since it fell
+    carry = False
+    best, stall = math.inf, 0
     stop = "budget"
     while True:
         lam, res = rayleigh(op, X, Y)
@@ -287,12 +337,37 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         if res <= tol:
             stop = "converged"
             break
-        k = min(Q.shape[0], max_iters - applies)
-        if k < 2:
+        left = max_iters - applies
+        if left < 2:
             break
-        Q[0] = X.ravel()
-        w = Y.ravel()
-        j = 0
+        if res < best:
+            best, stall = res, 0
+        else:
+            stall += 1
+        if carry and stall < KRYLOV_PATIENCE:
+            Z = _thick_basis(theta, S)
+            k = Z.shape[1]
+            T = Z.T @ H[:p, :p] @ Z
+            b = H[p, :p] @ Z
+            H.fill(0.0)
+            H[:k, :k] = T
+            H[k, :k] = b
+            Q[:k] = Z.T @ Q[:p]
+            Q[k] = Q[p]
+            j = k
+            w = op.apply_full(Q[k].reshape(m, n)).ravel()
+            applies += 1
+            end = min(p, k + left - 1)
+            thick += 1
+        else:
+            stall = 0
+            H.fill(0.0)
+            Q[0] = X.ravel()
+            w = Y.ravel()
+            j = 0
+            end = min(p, left)
+            explicit += 1
+        carry = False
         while True:
             # two-pass classical Gram-Schmidt against the basis so far
             wnorm = float(np.linalg.norm(w))
@@ -302,7 +377,9 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
             w -= h2 @ Q[:j + 1]
             H[:j + 1, j] = h + h2
             j += 1
-            if j == k:
+            # a cycle cut short by the budget is the last one and needs
+            # no residual vector
+            if j == end < p:
                 break
             beta = float(np.linalg.norm(w))
             if beta <= 1e-14 * wnorm:
@@ -310,6 +387,10 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
                 break
             H[j, j - 1] = beta
             Q[j] = w / beta
+            if j == p:
+                # a basis of the whole space has no residual to carry
+                carry = p < size
+                break
             w = op.apply_full(Q[j].reshape(m, n)).ravel()
             applies += 1
         theta, S = np.linalg.eig(H[:j, :j])
@@ -320,10 +401,9 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         X = (x / nrm if x.sum() >= 0 else -x / nrm).reshape(m, n)
         Y = op.apply_full(X)
         applies += 1
-        restarts += 1
-    return _report("krylov", op, X, t0, applies, stop,
-                   {"basis": Q.shape[0], "restarts": restarts,
-                    "breakdown": breakdown}, Y=Y)
+    return _report("krylov", op, X, t0, applies, stop, {
+        "basis": p, "restarts": thick + explicit, "thick_restarts": thick,
+        "explicit_restarts": explicit, "breakdown": breakdown}, Y=Y)
 
 
 def _normalize(W: np.ndarray,

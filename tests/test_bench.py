@@ -332,6 +332,12 @@ class TestCLI:
         want = reference(load_operator(path), tol=1e-8)
         assert payload["method"] == method
         assert payload["iterations"] == want.iterations
+        # the report carries the reference's record, restart counts too
+        assert payload["details"] == want.details
+        assert payload["details"]["thick_restarts"] >= 1
+        assert (payload["details"]["thick_restarts"]
+                + payload["details"]["explicit_restarts"]
+                == payload["details"]["restarts"])
 
     @pytest.mark.parametrize("method", KNOWN_METHODS)
     @pytest.mark.parametrize("iters", ["0", "-1"])
@@ -471,6 +477,37 @@ class TestCLI:
         cfg_path.write_text(json.dumps({"kind": "banded", "n": 4, "rank": 1}))
         out = run_cli("bench", str(cfg_path))
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("kind", ["hadamard-growth", "separable-growth",
+                                      "block-grid", "random-grid"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_generate_n_below_one_is_config_error(self, tmp_path, capsys,
+                                                  kind, n):
+        # generate takes no rank, so the error must name n
+        path = tmp_path / "op.json"
+        assert main(["generate", "--kind", kind, "--n", str(n),
+                     "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"n must be at least 1, got {n}" in err
+        assert "rank" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["hadamard-growth", "separable-growth",
+                                      "block-grid", "random-grid"])
+    def test_bench_n_below_one_is_config_error(self, tmp_path, capsys, kind):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "n": 0, "rank": 1}))
+        assert main(["bench", str(cfg_path)]) == 1
+        assert "n must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_block_grid_sizes_ignore_n(self, tmp_path):
+        # the sizes shape a block grid, not n
+        cfg = ExperimentConfig(kind="block-grid", n=0, rank=5, sizes=[2, 3])
+        assert build_operator(cfg, 0).shape == (5, 5)
+        path = tmp_path / "op.json"
+        assert main(["generate", "--kind", "block-grid", "--n", "0",
+                     "--sizes", "2", "3", "--out", str(path)]) == 0
+        assert load_operator(path).shape == (5, 5)
 
     @pytest.mark.parametrize("knobs", [
         {"rneg_nmax": 0, "psi_steps": -3},

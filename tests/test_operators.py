@@ -274,11 +274,14 @@ class TestGrowthOperators:
     @pytest.mark.parametrize("n", [2, 9, 100])
     def test_apply_full_bit_identical_to_expression(self, family, n):
         # apply_full accumulates in place; the operations and their order
-        # are those of the one-line expression, so are the bits
+        # are those of the one-line expression, so are the bits.  Its
+        # X A^T multiplies by a contiguous copy of A^T, whose BLAS path
+        # rounds differently from the transposed view's
         op = family.standard(n)
+        At = np.ascontiguousarray(op.A.T)
         rng = np.random.default_rng(n)
         for X in (rng.standard_normal((n, n)), rng.random((n, n)).T):
-            expected = op.eps * (op.A @ X + X @ op.A.T) + op.g * (op.G * X)
+            expected = op.eps * (op.A @ X + X @ At) + op.g * (op.G * X)
             assert np.array_equal(op.apply_full(X), expected)
 
     def test_shift_makes_iteration_nonnegative(self):

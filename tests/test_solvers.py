@@ -172,8 +172,101 @@ class TestKrylovReference:
         assert rep.residual == pytest.approx(rayleigh(op, rep.X)[1],
                                              abs=1e-14)
 
+    @pytest.mark.parametrize("make,most", [
+        (lambda: HadamardGrowthOperator.standard(100), 250),
+        (lambda: SeparableGrowthOperator.standard(100), 1_000),
+    ], ids=["hadamard-100", "separable-100"])
+    def test_thick_restart_application_counts(self, make, most):
+        # the explicitly restarted 10-vector method this replaced needed
+        # 511 and 3,831 applications at tol 1e-11
+        rep = krylov_reference(make(), tol=1e-11)
+        assert rep.converged
+        assert rep.residual <= 1e-11
+        assert rep.iterations <= most
+        d = rep.details
+        assert d["thick_restarts"] > 0
+        assert d["thick_restarts"] + d["explicit_restarts"] == d["restarts"]
+
+    @pytest.mark.parametrize("pair_at,kept", [(5, 7), (4, 6), (2, 6)])
+    def test_thick_basis_keeps_conjugate_pairs_whole(self, pair_at, kept):
+        # a real matrix with the eigenvalues 16, 15, .. except for the pair
+        # c +- 2i at sorted positions pair_at and pair_at + 1
+        p = solvers.KRYLOV_BASIS
+        c = p - pair_at - 0.5
+        D = np.diag(np.arange(p, 0, -1.0))
+        D[pair_at:pair_at + 2, pair_at:pair_at + 2] = [[c, 2.0], [-2.0, c]]
+        rng = np.random.default_rng(0)
+        P = np.eye(p) + 0.1 * rng.standard_normal((p, p))
+        H = P @ D @ np.linalg.inv(P)
+        Z = solvers._thick_basis(*np.linalg.eig(H))
+        assert Z.shape == (p, kept)
+        np.testing.assert_allclose(Z.T @ Z, np.eye(kept), atol=1e-13)
+        T = Z.T @ H @ Z
+        # the kept span is invariant: it holds whole eigenvectors
+        assert np.linalg.norm(H @ Z - Z @ T) <= 1e-12 * np.linalg.norm(H)
+        want = np.sort_complex(np.linalg.eigvals(D))[::-1][:kept]
+        np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(T))[::-1],
+                                   want, atol=1e-10)
+
+    def test_boundary_pair_in_a_solve(self, monkeypatch):
+        # a mostly cyclic chain has complex Ritz values next to the
+        # rightmost one; here the first thick restart meets a pair at the
+        # boundary and keeps KRYLOV_KEEP + 1 vectors
+        rng = np.random.default_rng(0)
+        R = rng.random((6, 6)) ** 4
+        R /= R.sum(axis=1, keepdims=True)
+        C = 0.9 * np.roll(np.eye(6), 1, axis=1) + 0.1 * R
+        op = MarkovGridOperator([(1.0, C, C)])
+        kept = []
+        thick_basis = solvers._thick_basis
+
+        def spy(theta, S):
+            Z = thick_basis(theta, S)
+            kept.append(Z.shape[1])
+            return Z
+
+        monkeypatch.setattr(solvers, "_thick_basis", spy)
+        rep = krylov_reference(op, tol=1e-11)
+        assert solvers.KRYLOV_KEEP + 1 in kept
+        assert rep.converged
+        assert rep.details["thick_restarts"] == len(kept)
+        lam, X = dense_rightmost(op)
+        assert rep.eigenvalue == pytest.approx(lam, abs=1e-10)
+        np.testing.assert_allclose(rep.X, X, atol=1e-8)
+
+    def test_explicit_restart_fallback(self, monkeypatch):
+        # separable n=100's residual stalls under thick restarts, so it
+        # falls back at least once after the first cycle
+        op = SeparableGrowthOperator.standard(100)
+        rep = krylov_reference(op, tol=1e-11)
+        assert rep.converged
+        assert rep.details["explicit_restarts"] > 1
+        # without patience every cycle restarts explicitly from X and
+        # A(X); that method reaches the same eigenpair
+        monkeypatch.setattr(solvers, "KRYLOV_PATIENCE", 0)
+        cold = krylov_reference(op, tol=1e-11)
+        assert cold.converged
+        assert cold.details["thick_restarts"] == 0
+        assert cold.details["explicit_restarts"] == cold.details["restarts"]
+        assert cold.iterations > rep.iterations
+        assert cold.eigenvalue == pytest.approx(rep.eigenvalue, abs=1e-11)
+        np.testing.assert_allclose(cold.X, rep.X, atol=1e-9)
+
+    def test_budget_ends_inside_thick_cycles(self):
+        # the first cycle ends at 17 applications and each thick one takes
+        # up to KRYLOV_BASIS - KRYLOV_KEEP + 1; a budget past 18 leaves
+        # the two a thick cycle needs at least, and ends inside one
+        op = HadamardGrowthOperator.standard(30)
+        for budget in range(19, 52, 2):
+            rep = krylov_reference(op, tol=1e-11, max_iters=budget)
+            assert not rep.converged
+            assert budget - 1 <= rep.iterations <= budget
+            assert rep.details["thick_restarts"] > 0
+            assert rep.residual == pytest.approx(rayleigh(op, rep.X)[1],
+                                                 abs=1e-14)
+
     def test_basis_capped_by_matrix_size(self):
-        # m * n = 9 is below KRYLOV_BASIS = 10: the first cycle spans the
+        # m * n = 9 is below KRYLOV_BASIS: the first cycle spans the
         # whole space, so one cycle and one check suffice
         rep = krylov_reference(demo_path_walk(), tol=1e-12)
         assert rep.details["basis"] == 9
