@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -112,11 +113,13 @@ class ExperimentConfig:
     power_iters: int = 500_000
     power_damping: float = 0.5
     # rneg_h0 is only the initial step of the sign-constrained flow (None
-    # = the operator's default step, stiffness-derived on the growth
-    # families); the step then grows under a ceiling learned from rejected
-    # trials.  rneg_tol is its stationarity tolerance: the run stops once
-    # an unclamped step ends at a projected-gradient norm of at most
-    # tol / default step, whatever rneg_h0 is.
+    # = the operator's default step, 0.4 / s for the reach s of its
+    # spectrum: 0.4 on probabilistic grids); the step then grows under a
+    # ceiling that starts at the stability bound 2 / s and falls with
+    # each rejected trial.  rneg_tol is its stationarity tolerance: the
+    # run stops once an unclamped step ends at a projected-gradient norm
+    # of at most tol / default step, whatever rneg_h0 is, so 1e-8 stops
+    # at 2.5e-8 on probabilistic grids.
     rneg_h0: float | None = None
     rneg_tol: float = 1e-8
     rneg_nmax: int = 50_000
@@ -125,11 +128,14 @@ class ExperimentConfig:
     # floors its error about a decade above tol on well-gapped operators;
     # 1e-10 keeps the floor near 1e-9
     psi_tol: float = 1e-10
-    # None resolves per family.  Operators with (near) degenerate leading
-    # eigenvalues give the splitting integrator no stationary target, so
-    # block grids and Hadamard growth get fixed budgets: a bounded stretch
-    # is integrated from the warm start rather than waiting on a stop rule
-    # that cannot fire.  Other families run to psi_solve's own budget.
+    # None resolves per family (_psi_budget).  Operators with (near)
+    # degenerate leading eigenvalues give the splitting integrator no
+    # stationary target, so block grids and Hadamard growth get fixed
+    # budgets: a bounded stretch is integrated from the warm start rather
+    # than waiting on a stop rule that cannot fire.  On block grids the
+    # stretch is a time span of 1.0, ceil(1.0 / h) steps at psi's step h
+    # (3 at the default 0.4); Hadamard growth gets 30,000 steps.  Other
+    # families run to psi_solve's own budget.
     psi_steps: int | None = None
     # Initialization policy for the two ODE integrators.  "random" starts
     # them cold, "reference" seeds them from factorizations of the computed
@@ -296,6 +302,32 @@ def _svd_state(Xref: np.ndarray, rank: int) -> PSIState:
     return PSIState(tri.U, np.diag(tri.s), tri.Vt.T.copy())
 
 
+# the time span psi integrates from its warm start on block grids, whose
+# flat leading spectrum gives its stop nothing to converge on.  A span,
+# not a step count: at twice the step and the same count psi runs twice
+# as far and its error against the reference moves
+BLOCK_GRID_PSI_SPAN = 1.0
+
+
+def _psi_budget(op: LinearMatrixOperator, cfg: ExperimentConfig) -> int | None:
+    """The ``max_steps`` that the bench gives ``psi`` on one trial.
+
+    An explicit ``cfg.psi_steps`` wins.  Otherwise block grids get the
+    steps that cover ``BLOCK_GRID_PSI_SPAN`` at psi's step ``h``
+    (``cfg.psi_h``, else the operator's default step), ``ceil(span / h)``,
+    Hadamard growth gets 30,000 steps, and the other families get None,
+    psi_solve's own budget.
+    """
+    if cfg.psi_steps is not None:
+        return cfg.psi_steps
+    if cfg.kind == "block-grid":
+        h = op.default_step() if cfg.psi_h is None else cfg.psi_h
+        return math.ceil(BLOCK_GRID_PSI_SPAN / h)
+    if cfg.kind == "hadamard-growth":
+        return 30_000
+    return None
+
+
 def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
                  trial_seed: int) -> list[MetricsRow]:
     ref = krylov_reference(op, tol=cfg.power_tol, max_iters=cfg.power_iters)
@@ -304,10 +336,6 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
         psi_init = "random" if cfg.kind == "random-grid" else "reference"
     else:
         rneg_init = psi_init = cfg.ode_init
-    psi_steps = cfg.psi_steps
-    if psi_steps is None:
-        psi_steps = {"block-grid": 100, "hadamard-growth": 30_000}.get(cfg.kind)
-    psi_budget = {} if psi_steps is None else {"max_steps": psi_steps}
     # power+nmf and the warm rneg start factor the same clipped reference;
     # the factorization runs once and its time is charged to both rows
     Xpos = np.maximum(ref.X, 0.0)
@@ -334,8 +362,10 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
             t0 = time.perf_counter()
             state = (_svd_state(ref.X, cfg.rank)
                      if psi_init == "reference" else None)
+            steps = _psi_budget(op, cfg)
+            budget = {} if steps is None else {"max_steps": steps}
             rep = psi_solve(op, cfg.rank, h=cfg.psi_h, tol=cfg.psi_tol,
-                            seed=trial_seed, init=state, **psi_budget)
+                            seed=trial_seed, init=state, **budget)
             dt = time.perf_counter() - t0
             rows.append(evaluate_against_reference(
                 op, rep.X, ref, "psi", dt, rep.converged))

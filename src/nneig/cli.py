@@ -83,8 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iters", type=budget, default=None)
     s.add_argument("--h0", type=float, default=None,
                    help="initial step for rneg, fixed step for psi "
-                        "(default: the operator's default step, derived "
-                        "from its stiffness bound on growth operators)")
+                        "(default: the operator's default step 0.4 / s, "
+                        "where s is the 1-norm of the vectorized operator "
+                        "on Markov grids, so 0.4 on probabilistic ones, "
+                        "and default_shift on growth operators)")
     s.add_argument("--out", default=None, help="report JSON path")
 
     b = sub.add_parser("bench", help="run a benchmark experiment config")

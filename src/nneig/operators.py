@@ -71,6 +71,12 @@ class FactorForm(NamedTuple):
         return P @ (Q.T @ V), Q @ (P.T @ U)
 
 
+# Every family's default integrator step, as a fraction of the explicit
+# stability bound ``2 / s`` that the reach ``s`` of its spectrum sets
+# (``LinearMatrixOperator._reach``): a 5x margin under the bound.
+STEP_FRACTION = 0.4
+
+
 class LinearMatrixOperator:
     """Common interface for the operator families.
 
@@ -91,9 +97,19 @@ class LinearMatrixOperator:
         None (the default) when its image has none."""
         return None
 
-    def default_step(self) -> float:
-        """Default integrator step size for this operator."""
+    def _reach(self) -> float:
+        """A bound ``s`` on how far the spectrum that the explicit
+        integrators see reaches from the origin, so that their step is
+        stable up to about ``2 / s``.  Read only through
+        :meth:`default_step`."""
         raise NotImplementedError
+
+    def default_step(self) -> float:
+        """Default integrator step size: ``STEP_FRACTION / s`` for the
+        operator's reach ``s``, or infinite when the reach is 0 (the zero
+        operator has no stiffness bound)."""
+        s = self._reach()
+        return STEP_FRACTION / s if s > 0 else math.inf
 
     def default_shift(self) -> float:
         """Spectral shift making ``A + shift*I`` nonnegativity-preserving."""
@@ -157,6 +173,7 @@ class MarkovGridOperator(LinearMatrixOperator):
                 sparse_terms.append((w, A, B))
             else:
                 dense.append((w, A, B))
+        self._dense_terms = dense
         self._dense_wAt = (np.stack([w * A.T for w, A, _ in dense])
                            if dense else None)
         self._dense_Bt = (np.stack([B.T.copy() for _, _, B in dense])
@@ -231,8 +248,30 @@ class MarkovGridOperator(LinearMatrixOperator):
             out = ys if out is None else out + ys
         return out
 
-    def default_step(self) -> float:
-        return 1e-2
+    @functools.cached_property
+    def _norm1(self) -> float:
+        # column (j, i) of the vec form sum_p w_p (B_p^T kron A_p^T) has
+        # absolute sum sum_p |w_p| rowsum|B_p|[j] rowsum|A_p|[i], so the
+        # largest one is its 1-norm when the weights and entries are
+        # nonnegative, and a bound on it otherwise.  The folded terms sum
+        # their nonzeros by column, so a block grid's many near-empty terms
+        # cost one pass.  Computed on first use: constructing a grid does
+        # not pay for it
+        m, n = self.shape
+        sums = np.zeros((m, n))
+        for w, A, B in self._dense_terms:
+            sums += (abs(w) * np.abs(A).sum(axis=1))[:, None] \
+                * np.abs(B).sum(axis=1)
+        if self._fold is not None:
+            _, cols, vals = self._fold
+            sums += np.bincount(cols, weights=np.abs(vals),
+                                minlength=m * n).reshape((m, n), order="F")
+        return float(sums.max())
+
+    def _reach(self) -> float:
+        # the 1-norm bounds the spectral radius: 1 on a probabilistic grid,
+        # whose spectrum lies in the unit disc
+        return self._norm1
 
     def default_shift(self) -> float:
         return 0.0
@@ -263,12 +302,6 @@ def neumann_laplacian(n: int) -> np.ndarray:
 def grid_points(n: int) -> np.ndarray:
     """Uniform grid on [0, 1] with ``n`` points, matching :func:`neumann_laplacian`."""
     return np.linspace(0.0, 1.0, n)
-
-
-# The growth families' default integrator step, as a fraction of the
-# explicit stability bound ``2 / default_shift()`` that their stiff
-# diffusion term sets: a 5x margin under the bound.
-STEP_FRACTION = 0.4
 
 
 class _GrowthDiffusionOperator(LinearMatrixOperator):
@@ -372,10 +405,10 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         return (self.g * float(np.abs(self.G).max())
                 + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
 
-    def default_step(self) -> float:
-        # the zero operator has no stiffness bound
-        shift = self.default_shift()
-        return STEP_FRACTION / shift if shift > 0 else math.inf
+    def _reach(self) -> float:
+        # the stiff diffusion term sets the explicit bound of the flow on
+        # the factors, about 2 / shift
+        return self.default_shift()
 
 
 class HadamardGrowthOperator(_GrowthDiffusionOperator):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import FactorPair, _qr, project_feasible_direction, thin_qr
-from .operators import FactorForm, LinearMatrixOperator
+from .operators import STEP_FRACTION, FactorForm, LinearMatrixOperator
 
 __all__ = [
     "SolverError",
@@ -477,13 +477,18 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     and a per-factor test would reject every step on that noise alone.
 
     ``h0`` is the initial step, not a cap (``h0=None`` resolves to the
-    operator's default step).  On acceptance the step grows by
-    ``BETA_ACC`` up to a ceiling learned from rejections: it starts at
-    infinity, and every rejected trial of size ``h_use`` lowers it to
-    ``h_use / BETA_ACC``.  The ceiling only falls, so the step settles
-    below the largest size the operator lets pass the acceptance test,
-    not at a family constant.  The backtracking baseline is the norm at
-    the previous accepted step, so the first trial step always passes.
+    operator's default step ``STEP_FRACTION / s``).  On acceptance the
+    step grows by ``BETA_ACC`` up to a ceiling learned from rejections: it
+    starts at the explicit stability bound ``2 / s`` of the operator's
+    reach ``s``, read as ``op.default_step() * 2 / STEP_FRACTION`` (2.0 on
+    a probabilistic grid, infinite for the zero operator), and every
+    rejected trial of size ``h_use`` lowers it to ``h_use / BETA_ACC``.
+    The ceiling only falls, so the step settles below the largest size
+    the operator lets pass the acceptance test and never above the
+    bound: the acceptance test alone let an accepted step past the bound
+    lower the eigenvalue of a self-adjoint grid.  The backtracking
+    baseline is the norm at the previous accepted step, so the first
+    trial step always passes.
 
     The projected-gradient norms are not monotone along the flow, so a
     norm-decreasing step size need not exist; insisting on one deadlocks
@@ -544,7 +549,9 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     g_stop = tol / h_default
     ratio = np.empty(W.shape)
     h = h_init
-    h_ceil = np.inf
+    # the explicit stability bound 2 / s of the operator's reach s, read
+    # through its default step STEP_FRACTION / s
+    h_ceil = h_default * 2 / STEP_FRACTION
     h_floor = 1e-16
     h_min, h_max = np.inf, 0.0
     stop = "budget"

@@ -6,6 +6,7 @@ codes are the ones a shell would see.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -235,6 +236,32 @@ class TestRunExperiment:
         per_trial = run_experiment(cfg)
         assert len(per_trial) == 1
         assert [r.method for r in per_trial[0]] == list(cfg.methods)
+
+    def test_block_grid_psi_covers_a_unit_span(self, monkeypatch):
+        # the shipped block-grid config: a span of 1.0 at the default step
+        # 0.4 is 3 steps, at psi_h 0.15 it is 7, and explicit psi_steps win
+        budgets = []
+
+        def recorded(*args, **kwargs):
+            budgets.append(kwargs.get("max_steps"))
+            return psi_solve(*args, **kwargs)
+
+        psi_solve = bench.psi_solve
+        monkeypatch.setattr(bench, "psi_solve", recorded)
+        cfg = ExperimentConfig.from_json(
+            (ROOT / "configs" / "block-grid.json").read_text())
+        for over in ({}, {"psi_h": 0.15}, {"psi_steps": 100}):
+            run_experiment(dataclasses.replace(cfg, trials=1,
+                                               methods=("psi",), **over))
+        assert budgets == [3, 7, 100]
+
+    def test_hadamard_psi_budget_stays_in_steps(self):
+        cfg = ExperimentConfig.from_json(
+            (ROOT / "configs" / "hadamard-growth.json").read_text())
+        op = build_operator(cfg, cfg.seed)
+        assert bench._psi_budget(op, cfg) == 30_000
+        cold = ExperimentConfig(kind="random-grid", n=6, rank=1)
+        assert bench._psi_budget(build_operator(cold, 0), cold) is None
 
     def test_dispatch_calls_module_names(self, monkeypatch):
         # perfbench/tracing.py swaps these names on nneig.bench to time

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from nneig.markovgrid import (BlockGridSpec, demo_path_walk,
                               generate_block_grid)
 from nneig.operators import (
+    STEP_FRACTION,
     HadamardGrowthOperator,
     MarkovGridOperator,
     SeparableGrowthOperator,
@@ -152,6 +153,49 @@ class TestMarkovGridOperator:
                 (0.5, np.eye(2), np.eye(3)),
                 (0.5, np.eye(4), np.eye(3)),
             ])
+
+    @pytest.mark.parametrize("make", [
+        lambda: TestMarkovGridOperator().make_random(12),
+        lambda: TestMarkovGridOperator().make_random(13, m=3, n=6),
+        demo_path_walk,
+        lambda: generate_block_grid(BlockGridSpec(
+            sizes=(3, 4, 5), delta=0.3, seed=1, style="trap")),
+        lambda: generate_block_grid(BlockGridSpec(
+            sizes=(3,) * 10, delta=0.3, seed=2, style="stochastic")),
+    ], ids=["random", "rectangular", "path", "trap", "stochastic-blocks"])
+    def test_default_step_under_stability_bound(self, make):
+        # the grid counterpart of the growth families' check: the reach s
+        # behind the default step STEP_FRACTION / s is the 1-norm of the
+        # vectorized operator, which bounds its spectral radius
+        op = make()
+        P = vectorize_operator(op)  # vec(A(X)) = P.T vec(X)
+        s = STEP_FRACTION / op.default_step()
+        assert s == pytest.approx(np.abs(P).sum(axis=1).max(), rel=1e-14)
+        assert op.default_step() * np.abs(np.linalg.eigvals(P)).max() <= 0.5
+
+    def test_signed_terms_bound_the_norm(self):
+        # with signed weights or entries the column sums of the terms
+        # bound the 1-norm of their sum from above
+        A = np.array([[0.5, -0.5], [1.0, 0.0]])
+        op = MarkovGridOperator([(0.7, A, np.eye(2)), (-0.4, np.eye(2), A)])
+        norm = np.abs(vectorize_operator(op)).sum(axis=1).max()
+        assert STEP_FRACTION / op.default_step() >= norm
+
+    def test_zero_grid_has_no_default_step(self):
+        op = MarkovGridOperator([(0.0, np.eye(3), np.eye(3))])
+        assert op.default_step() == np.inf
+
+    def test_block_sparse_trap_grid_step(self):
+        # the trap grid of perfbench/workloads/block-sparse.json, trial
+        # seed 7: fifty blocks of size 1 at weight 0.8 and the uniform term
+        # at 0.2.  The per-term bound sum_p |w_p| ||A_p||_inf ||B_p||_inf
+        # reads 40.2 here; the vectorized 1-norm is 1.  The norm is
+        # computed on first use, not when the grid is built
+        op = generate_block_grid(BlockGridSpec(sizes=(1,) * 50, delta=0.2,
+                                               seed=7, style="trap"))
+        assert "_norm1" not in vars(op)
+        assert op.default_step() == 0.4
+        assert op._reach() == 1.0
 
     def test_vectorize_dimensions(self):
         op = self.make_random(10, m=3, n=4)

@@ -25,6 +25,7 @@ from nneig.markovgrid import (
 )
 from nneig.matcore import FactorPair, thin_qr
 from nneig.operators import (
+    STEP_FRACTION,
     HadamardGrowthOperator,
     LinearMatrixOperator,
     MarkovGridOperator,
@@ -345,6 +346,20 @@ class TestRNeg:
                          for k in range(1, K + 1)])
         assert lams.size > 100
         assert np.all(np.diff(lams) >= -1e-12)
+
+    @pytest.mark.parametrize("make,rank,nmax", [
+        (symmetric_grid, 2, 50_000),
+        (lambda: HadamardGrowthOperator.standard(100), 3, 500),
+    ], ids=["self-adjoint-grid", "hadamard"])
+    def test_step_stays_under_stability_bound(self, make, rank, nmax):
+        # the learned ceiling starts at the explicit bound 2 / s, read as
+        # default_step * 2 / STEP_FRACTION.  Under a ceiling that only
+        # rejections lowered, the accepted step reached 11.56 on the
+        # self-adjoint grid, whose bound is 2, and 1.6e-2 in the first 500
+        # steps on Hadamard, whose bound is 4.97e-3
+        op = make()
+        rep = rneg_solve(op, rank=rank, seed=4, nmax=nmax)
+        assert rep.details["h_max"] <= op.default_step() * 2 / STEP_FRACTION
 
     def test_warm_start_at_eigenpair_converges_fast(self):
         y = np.array([1.0, 2.0, 1.0])
@@ -759,11 +774,15 @@ class TestProjectedImagePath:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_psi_matches_assembled_image_family(self, family):
+        # a fixed 200 steps at tol 0: near convergence the motion stop
+        # compares roundoff-level distances, and the two paths' roundoff
+        # can end them a step apart
         op = self.FAMILIES[family]()
         assert _narrow_form(op, 3) is not None
-        a = psi_solve(op, rank=3, max_steps=200, seed=3)
-        b = psi_solve(AssembledImage(op), rank=3, max_steps=200, seed=3)
-        assert a.iterations == b.iterations
+        a = psi_solve(op, rank=3, tol=0.0, max_steps=200, seed=3)
+        b = psi_solve(AssembledImage(op), rank=3, tol=0.0, max_steps=200,
+                      seed=3)
+        assert a.iterations == b.iterations == 200
         assert np.abs(a.X - b.X).max() <= 1e-9
         assert a.eigenvalue == pytest.approx(b.eigenvalue, abs=1e-9)
 
