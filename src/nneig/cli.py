@@ -21,7 +21,7 @@ import numpy as np
 from .bench import (KINDS, KNOWN_METHODS, ExperimentConfig, aggregate,
                     build_operator, compress_reference, render_rows,
                     run_experiment)
-from .lowrank import nmf
+from .lowrank import nmf, truncated_svd
 from .markovgrid import demo_clustered_walk, demo_path_walk, validate_grid
 from .operators import MarkovGridOperator, load_operator, save_operator
 from .solvers import (SolverError, _check_budget, _report, krylov_reference,
@@ -150,9 +150,11 @@ def _solve(args) -> int:
         ref = krylov_reference(op, tol=args.tol, **limit)
         X = ref.X
         if args.method != "power":
+            svd = (truncated_svd(ref.X, args.rank)
+                   if args.method == "power+svd" else None)
             fit = (nmf(np.maximum(ref.X, 0.0), args.rank, seed=args.seed)
                    if args.method == "power+nmf" else None)
-            X = compress_reference(ref, args.method, args.rank, fit)
+            X = compress_reference(args.method, svd, fit)
             nrm = np.linalg.norm(X)
             if nrm == 0:
                 raise SolverError("low-rank compression of the reference "

@@ -75,7 +75,8 @@ def _stationary(M: np.ndarray, W: np.ndarray, H: np.ndarray,
         # a zero factor entry keeps only the negative part of its gradient
         P = np.where(X > 0.0, G, np.minimum(G, 0.0))
         pg += float(np.vdot(P, P))
-    return np.sqrt(pg) <= (NMF_STATIONARITY_TOL * np.linalg.norm(W @ H - M)
+    return np.sqrt(pg) <= (NMF_STATIONARITY_TOL
+                           * np.linalg.norm(W.dot(H) - M)
                            * (np.linalg.norm(W) + np.linalg.norm(H)))
 
 
@@ -145,25 +146,26 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     tiny = np.finfo(float).tiny
     sweeps, stop = n_iters, "budget"
     for sweep in range(n_iters):
-        HHt = H @ H.T
-        MHt = M @ H.T
+        HHt = H.dot(H.T)
+        MHt = M.dot(H.T)
         # the gradients at the current (W, H) reuse this sweep's HHt, MHt
         # and the last sweep's WtW, WtM
-        if sweep and _stationary(M, W, H, W @ HHt - MHt, WtW @ H - WtM):
+        if sweep and _stationary(M, W, H, W.dot(HHt) - MHt,
+                                 WtW.dot(H) - WtM):
             sweeps, stop = sweep, "stationary"
             break
         for j in range(r):
             d = HHt[j, j]
             if d > tiny:
-                W[:, j] = np.maximum(W[:, j] + (MHt[:, j] - W @ HHt[:, j]) / d,
-                                     0.0)
-        WtW = W.T @ W
-        WtM = W.T @ M
+                W[:, j] = np.maximum(
+                    W[:, j] + (MHt[:, j] - W.dot(HHt[:, j])) / d, 0.0)
+        WtW = W.T.dot(W)
+        WtM = W.T.dot(M)
         for j in range(r):
             d = WtW[j, j]
             if d > tiny:
-                H[j, :] = np.maximum(H[j, :] + (WtM[j, :] - WtW[j, :] @ H) / d,
-                                     0.0)
+                H[j, :] = np.maximum(
+                    H[j, :] + (WtM[j, :] - WtW[j, :].dot(H)) / d, 0.0)
     return NMFResult(W, H, sweeps, stop)
 
 

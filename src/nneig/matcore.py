@@ -97,7 +97,7 @@ def project_feasible_direction(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if W.shape != Z.shape:
         raise ValueError(f"shape mismatch: {W.shape} vs {Z.shape}")
-    if W.min(initial=0.0) < 0:
+    if np.minimum.reduce(W, axis=None, initial=0.0) < 0:
         raise ValueError("base point must be entrywise nonnegative")
     return np.where(W > 0, Z, np.maximum(Z, 0.0))
 

@@ -68,7 +68,7 @@ class FactorForm(NamedTuple):
                 V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(F @ V, F.T @ U)`` for ``F = A(U V^T)``, never forming ``F``."""
         P, Q = self.left(U), self.right(V)
-        return P @ (Q.T @ V), Q @ (P.T @ U)
+        return P.dot(Q.T.dot(V)), Q.dot(P.T.dot(U))
 
 
 # Every family's default integrator step, as a fraction of the explicit

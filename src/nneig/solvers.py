@@ -9,6 +9,16 @@ their seeds (PCG64 generators throughout).
 The factored solvers evaluate the image ``F = A(U V^T)`` through the
 operator's factor form when it is narrow (:func:`_narrow_form`), else by
 assembling ``F`` with one ``apply_factored`` call per evaluation.
+
+The 2-D products inside the per-step loops of ``rneg`` and ``psi`` (and of
+``lowrank.nmf`` and ``FactorForm.project``) call ``ndarray.dot``, not
+``@``.  Both run the same BLAS kernel on 2-D float operands and give the
+same values bit for bit (a zero may differ in sign when the inner dimension
+is 1), but the ``matmul`` ufunc's dispatch costs up to about 1 us more per
+call: ``(100, 3) @ (3, 3)`` took 2.2 us against 1.4 us for ``dot`` (2
+cores, one BLAS thread, numpy 2.4), and a step makes a dozen such
+products.  Batched products stay ``@``: on 3-D operands ``dot`` contracts
+differently.
 """
 
 from __future__ import annotations
@@ -57,7 +67,8 @@ class EigenReport:
     and resolved defaults of the method: ``shift`` (power), ``basis``,
     ``restarts``, ``thick_restarts``, ``explicit_restarts``, ``breakdown``
     (Krylov), ``h`` (psi), and ``h0``, ``grad`` (the final
-    projected-gradient norm), ``rejected``, ``h_min``, ``h_max`` (rneg).
+    projected-gradient norm), ``rejected``, ``capped``, ``h_min``,
+    ``h_max`` (rneg).
     """
 
     method: str
@@ -406,14 +417,49 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         "explicit_restarts": explicit, "breakdown": breakdown}, Y=Y)
 
 
+def _grams(W: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Grams ``(U^T U, V^T V)`` of the stacked factors ``W = [U; V]``."""
+    U, V = W[:m], W[m:]
+    return U.T.dot(U), V.T.dot(V)
+
+
+# below this ||U V^T||^2 a factor's Gram may be subnormal (or zero) and
+# lose its relative precision; far below anything a normalized rneg iterate
+# reaches
+TINY_PRODUCT = 2.0 ** -900
+
+
 def _normalize(W: np.ndarray,
                m: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Scale the stacked factors ``W = [U; V]`` in place so that ``U V^T``
     has unit Frobenius norm.  Returns the Grams ``(U^T U, V^T V)`` of the
-    scaled factors, or None for a zero product."""
-    GU = W[:m].T @ W[:m]
-    GV = W[m:].T @ W[m:]
+    scaled factors, or None for a zero product.
+
+    The norm comes from the Grams, ``||U V^T||^2 = <U^T U, V^T V>``.  When
+    it is below ``TINY_PRODUCT``, a Gram may hold subnormal entries, so the
+    norm is taken again from the factors each scaled to a largest entry in
+    ``[0.5, 1)`` by an exact power of two, and the Grams are formed after
+    the scaling.  Inputs in the normal range never take that branch.  It
+    does not catch factors so unbalanced that one Gram is subnormal while
+    the product is not (one factor near 1e-158, the other above 1e23);
+    rneg scales both factors alike and never makes them.
+    """
+    GU, GV = _grams(W, m)
     g = float(np.vdot(GU, GV))  # ||U V^T||^2
+    if g < TINY_PRODUCT:
+        U, V = W[:m], W[m:]
+        eu = math.frexp(float(np.abs(U).max()))[1]
+        ev = math.frexp(float(np.abs(V).max()))[1]
+        g = float(np.vdot(*_grams(np.concatenate((np.ldexp(U, -eu),
+                                                  np.ldexp(V, -ev))), m)))
+        if g <= 0.0:
+            return None
+        # divide W by sqrt(||U V^T||) = g^(1/4) 2^((eu + ev) / 2), the
+        # power of two exactly and first, so no step leaves the range
+        k = eu + ev
+        np.ldexp(W, -(k // 2), out=W)
+        W /= g ** 0.25 * (math.sqrt(2.0) if k % 2 else 1.0)
+        return _grams(W, m)
     if g <= 0.0:
         return None
     c = math.sqrt(g)  # the square of the scale W is divided by
@@ -438,8 +484,8 @@ def _flow_data(projected, W: np.ndarray, m: int, grams):
     lam = float(np.vdot(FtU, V))  # <A(X), UV^T> without forming UV^T
     _check_finite(lam, "factored iterate")
     G = np.empty_like(W)
-    np.subtract(FV, U @ (lam * GV), out=G[:m])
-    np.subtract(FtU, V @ (lam * GU), out=G[m:])
+    np.subtract(FV, U.dot(lam * GV), out=G[:m])
+    np.subtract(FtU, V.dot(lam * GU), out=G[m:])
     P = project_feasible_direction(W, G)
     return P, _norm(P)
 
@@ -448,6 +494,58 @@ def _norm(a: np.ndarray) -> float:
     """Frobenius norm of a C-contiguous array; the value of
     ``np.linalg.norm`` without its dispatch cost."""
     return math.sqrt(np.vdot(a, a))
+
+
+# an entry whose crossing ratio is within this relative distance of the
+# step lands exactly on the boundary
+CLAMP_SLACK = 1e-12
+# the relative margin of the no-crossing certificate; rneg_solve gives its
+# rounding argument
+CERT_MARGIN = 4e-12
+# the certificate's terms are scaled by 2**52, which lifts the smallest
+# positive factor entry, 2**-1074, to the smallest normal number, 2**-1022
+_CERT_SCALE = 2.0 ** 52
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _cannot_cross(W: np.ndarray, P: np.ndarray, h: float) -> bool:
+    """Whether no positive entry of ``W >= 0`` crosses zero along the
+    feasible direction ``P`` within ``h (1 + CLAMP_SLACK)``, certified by
+    ``W + c P >= 0`` at ``c = h (1 + CERT_MARGIN)``, both terms scaled by
+    ``_CERT_SCALE``.  False for a step below the smallest normal number."""
+    if not h >= _SMALLEST_NORMAL:
+        return False
+    T = P * (h * (_CERT_SCALE * (1.0 + CERT_MARGIN)))
+    T += W * _CERT_SCALE
+    # a NaN entry (a NaN input, or inf - inf) makes the minimum NaN, which
+    # fails the test
+    return bool(np.minimum.reduce(T, axis=None) >= 0.0)
+
+
+def _crossing_ratios(W: np.ndarray, P: np.ndarray, out: np.ndarray) -> float:
+    """Fill ``out`` with the step at which each entry of ``W`` reaches zero
+    along ``P`` (infinite where ``P >= 0``) and return the smallest.  Only
+    entries pushed downward constrain the step, and for a feasible ``P``
+    those are all positive: at a zero entry the feasible projection
+    clipped the direction at zero."""
+    out.fill(np.inf)
+    np.divide(W, -P, out=out, where=P < 0)
+    return float(np.minimum.reduce(out, axis=None))
+
+
+def _trial_step(W: np.ndarray, P: np.ndarray, h: float,
+                ratio: np.ndarray | None = None) -> np.ndarray:
+    """The trial factors ``max(W + h P, 0)``.  Given the crossing ratios
+    of :func:`_crossing_ratios`, the entries whose crossing is within
+    ``h (1 + CLAMP_SLACK)`` land exactly on the boundary: roundoff
+    residues there would otherwise shrink the next admissible step to
+    nothing."""
+    Wt = P * h
+    Wt += W
+    np.maximum(Wt, 0.0, out=Wt)
+    if ratio is not None:
+        np.copyto(Wt, 0.0, where=ratio <= h * (1.0 + CLAMP_SLACK))
+    return Wt
 
 
 # step control of rneg_solve; its docstring says what each constant does
@@ -500,6 +598,40 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     rejected.  ``MAX_REJECTS`` bounds the halvings per step as a final
     safety; the smallest trial is then taken anyway.
 
+    The crossing cap is the smallest per-entry crossing ratio ``w / p``,
+    over the positive entries ``w`` of ``W = [U; V]`` whose direction
+    ``-p`` is negative (:func:`_crossing_ratios`), and entries whose ratio
+    is within ``h (1 + CLAMP_SLACK)`` land exactly on zero
+    (:func:`_trial_step`).  Most trial steps cannot reach the boundary,
+    and for those the ratios change nothing, so each trial first tests
+    a certificate (:func:`_cannot_cross`): ``W + c P >= 0`` at
+    ``c = h (1 + CERT_MARGIN)``, evaluated in floating point with both
+    terms scaled by ``2^52``.  When it holds, the step is
+    ``max(W + h P, 0)``, bit for bit what the ratio path gives.  Otherwise
+    the ratios are computed, once per accepted step and kept across its
+    rejected trials.  The rounding argument, with ``u = 2^-53``:
+
+    * a rounded sum has the sign of the exact sum, so the test passes
+      exactly when ``w s >= fl(c p s)`` for every entry, ``s = 2^52``;
+    * ``w s`` is exact, and at least ``2^-1022`` for ``w > 0``.  If
+      ``c p s`` is normal, ``fl(c p s) >= c p s (1 - u)``, and with the
+      rounding of ``c`` itself ``w / p >= h (1 + 4e-12)(1 - u)^3``.  If it
+      is subnormal, it is below ``w s``, so ``w > c p`` outright;
+    * the step is at least the smallest normal number (smaller steps take
+      the ratio path), so ``w / p`` and ``h (1 + 1e-12)`` are normal, the
+      rounded ratio is at least ``h (1 + 3.9e-12)`` and the rounded clamp
+      bound at most ``h (1 + 1.1e-12)``.  No ratio reaches the bound:
+      the cap is not below ``h`` and nothing is clamped.
+
+    Subnormal entries are covered by the scaling.  Without it they are
+    not: at ``w = 2^-1074``, ``p = 2^-1073`` and ``h = 0.7``, ``fl(c p)``
+    rounds to ``w`` and the unscaled test passes, yet the crossing ratio
+    is 0.5.  A NaN (also from ``inf - inf`` on overflow) fails the test
+    and takes the ratio path.  In the three cold 5,000-step solves of
+    Hadamard growth at n=100, rank 3 (seeds 0-2), 11,233 of 15,001 trial
+    steps passed the test; on the shipped grid and separable-growth
+    configs every trial step did.
+
     Termination is on stationarity: the run stops at the first accepted
     step not shortened by the crossing cap whose joint projected-gradient
     norm ``g``, the number the acceptance test reads, is at most
@@ -509,8 +641,10 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     size that underflows ``1e-16`` stops the run with ``converged=False``.
     ``details`` carries ``stop`` (``"converged"``, ``"budget"`` or
     ``"stalled"``), the resolved ``h0``, the final joint norm ``grad``,
-    the count of ``rejected`` trials and the range ``h_min``/``h_max`` of
-    the accepted step sizes.
+    the count of ``rejected`` trials, the count of accepted steps that the
+    crossing cap shortened, ``capped`` (those where entries landed on the
+    boundary), and the range ``h_min``/``h_max`` of the accepted step
+    sizes.
     """
     t0 = time.perf_counter()
     m, n = op.shape
@@ -540,7 +674,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     if form is None:
         def projected(U, V):
             F = op.apply_factored(U, V)
-            return F @ V, F.T @ U
+            return F.dot(V), F.T.dot(U)
     else:
         projected = form.project
     P, g = _flow_data(projected, W, m, grams)
@@ -556,29 +690,25 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     h_min, h_max = np.inf, 0.0
     stop = "budget"
     accepted_steps = 0
-    rejected = 0
+    rejected = capped = 0
 
     while accepted_steps < nmax:
-        # per-entry step sizes at which positive entries would cross zero.
-        # Only entries pushed downward constrain the step, and those are
-        # all positive now: at a zero entry the feasible projection
-        # clipped the direction at zero
-        ratio.fill(np.inf)
-        np.divide(W, -P, out=ratio, where=P < 0)
-        h_adm = float(ratio.min())
+        # the crossing ratios of these factors, computed at most once, and
+        # only for a trial step that may cross
+        h_adm = None
         # backtracking loop: retake the trial step from the same factors
         # until the joint projected-gradient norm passes the acceptance
         # test, or the rejection budget runs out
         rejects = 0
         while True:
-            h_use = min(h, h_adm)
-            Wt = P * h_use
-            Wt += W
-            np.maximum(Wt, 0.0, out=Wt)
-            # entries whose crossing time is hit this step land exactly on
-            # the boundary; roundoff residues there would otherwise shrink
-            # the next admissible step to nothing
-            np.copyto(Wt, 0.0, where=ratio <= h_use * (1.0 + 1e-12))
+            if _cannot_cross(W, P, h):
+                h_use = h
+                Wt = _trial_step(W, P, h)
+            else:
+                if h_adm is None:
+                    h_adm = _crossing_ratios(W, P, ratio)
+                h_use = min(h, h_adm)
+                Wt = _trial_step(W, P, h_use, ratio)
             grams = _normalize(Wt, m)
             if grams is not None:
                 P_t, g_t = _flow_data(projected, Wt, m, grams)
@@ -597,8 +727,11 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         accepted_steps += 1
         h_min = min(h_min, h_use)
         h_max = max(h_max, h_use)
-        # only an unclamped step counts for the termination test
-        settled = h_use == h and g_t <= g_stop
+        # only a step the crossing cap did not shorten counts for the
+        # termination test
+        shortened = h_use < h
+        capped += shortened
+        settled = not shortened and g_t <= g_stop
         W, P, g = Wt, P_t, g_t
         h = min(h * BETA_ACC, h_ceil)
         if settled:
@@ -607,7 +740,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
 
     U, V = W[:m], W[m:]
     return _report("rneg", op, U @ V.T, t0, accepted_steps, stop, {
-        "h0": h_init, "grad": g, "rejected": rejected,
+        "h0": h_init, "grad": g, "rejected": rejected, "capped": capped,
         "h_min": h_min if accepted_steps else None,
         "h_max": h_max if accepted_steps else None,
     }, factors=FactorPair(U, V))
@@ -631,20 +764,27 @@ def _last(f):
 ORTHONORMAL_TOL = 1e-8
 
 
-def _step_distance(US0, S0, V0, US1, V1) -> float:
+def _step_distance(US0, S0, V0, US1, V1, thr: float = math.inf) -> float:
     """``||X1 - X0||_F`` for ``Xi = Ui Si Vi^T`` with orthonormal ``Ui``,
     ``Vi``, from ``USi = Ui Si``, ``S0``, ``V0`` and ``V1`` in
-    ``O((m + n) r^2)``, without forming either product.
+    ``O((m + n) r^2)``, without forming either product; or infinity once
+    it is known to exceed ``thr``.
 
     Splitting ``X1 - X0`` along ``span(V1)`` and its complement gives two
     orthogonal parts; with ``B = V0^T V1`` their norms are
-    ``||U1 S1 - U0 S0 B||_F`` and ``||(V0 - V1 B^T) S0^T||_F``, the
-    latter because ``U0`` is orthonormal.
+    ``a = ||U1 S1 - U0 S0 B||_F`` and ``||(V0 - V1 B^T) S0^T||_F``, the
+    latter because ``U0`` is orthonormal.  When ``a > thr`` the second
+    part is not computed: the distance is ``sqrt(fl(a^2 + b^2))`` and
+    ``fl(a^2 + b^2) >= a^2`` for ``b^2 >= 0``, so a test ``distance <=
+    thr`` decides the same either way.
     """
-    B = V0.T @ V1
-    inner = US1 - US0 @ B
-    outer = (V0 - V1 @ B.T) @ S0.T
-    return math.sqrt(np.vdot(inner, inner) + np.vdot(outer, outer))
+    B = V0.T.dot(V1)
+    inner = US1 - US0.dot(B)
+    a2 = np.vdot(inner, inner)
+    if math.sqrt(a2) > thr:
+        return math.inf
+    outer = (V0 - V1.dot(B.T)).dot(S0.T)
+    return math.sqrt(a2 + np.vdot(outer, outer))
 
 
 def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
@@ -685,15 +825,18 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     ``"budget"``).  The distance comes from the factors of the two states
     in ``O((m + n) r^2)`` (:func:`_step_distance`), so no step forms the
     ``m x n`` iterate; ``X`` is formed once, for the report, which reads it
-    through ``op.apply_full`` as every solver's report does.  A step costs
-    two lifts (or three assembled images) plus ``O((m + n) r^2)`` dense
-    algebra, which includes two QRs.  Those call numpy's LAPACK kernels
-    through :func:`~nneig.matcore._qr`, with the factors of
-    ``np.linalg.qr`` bit for bit: that wrapper costs two to three times the
-    kernels on inputs this small, and through it the two QRs were the
-    largest item of a step.
-    On Hadamard growth at n=100, rank 3, a step takes 73-86 us, against
-    93-103 us through ``np.linalg.qr`` (2 cores, one BLAS thread).  A warm
+    through ``op.apply_full`` as every solver's report does.  The stop test
+    passes its threshold ``tol * h`` to the distance, which returns as soon
+    as the first of its two parts exceeds it; on Hadamard growth that part
+    decides every step.  A step costs two lifts (or three assembled images)
+    plus ``O((m + n) r^2)`` dense algebra, which includes two QRs.  Those
+    call numpy's LAPACK kernels through :func:`~nneig.matcore._qr`, with
+    the factors of ``np.linalg.qr`` bit for bit: that wrapper costs two to
+    three times the kernels on inputs this small, and through it the two
+    QRs were the largest item of a step.  On Hadamard growth at n=100,
+    rank 3, warm started from the reference, a step took 93-116 us over
+    fifteen 2,000-step solves, against 117-151 us with ``@`` products and
+    the whole stop distance every step (2 cores, one BLAS thread).  A warm
     start whose core ``S`` is zero or not finite, or whose
     ``U`` or ``V`` is not orthonormal
     (``||Q^T Q - I||_F > ORTHONORMAL_TOL``), is rejected with ValueError.
@@ -729,41 +872,42 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     form = _narrow_form(op, rank)
     if form is None:
         def k_image(U, S, V, US):  # F V at X = U S V^T, US = U S
-            FV = op.apply_factored(US, V) @ V
+            FV = op.apply_factored(US, V).dot(V)
             return FV, float(np.vdot(FV, US))
 
         def s_image(U1, S, V):  # U1^T F V at X = U1 S V^T
-            FV, rho = k_image(U1, S, V, U1 @ S)
-            return U1.T @ FV, rho
+            FV, rho = k_image(U1, S, V, U1.dot(S))
+            return U1.T.dot(FV), rho
 
         def l_image(U1, S, V, VS):  # F^T U1 at X = U1 S V^T, VS = V S^T
             F = op.apply_factored(U1, VS)
-            return F.T @ U1, float(np.vdot(F @ VS, U1))
+            return F.T.dot(U1), float(np.vdot(F.dot(VS), U1))
     else:
         K = form.blocks
         left, right = _last(form.left), _last(form.right)
-        D = _last(lambda V: right(V).T @ V)
-        E = _last(lambda U: U.T @ left(U))
+        D = _last(lambda V: right(V).T.dot(V))
+        E = _last(lambda U: U.T.dot(left(U)))
 
         def bd(M, B):  # M applied to each of the K row blocks of B
             return (M @ B.reshape(K, rank, -1)).reshape(B.shape)
 
         def k_image(U, S, V, US):
-            FV = left(U) @ bd(S, D(V))
+            FV = left(U).dot(bd(S, D(V)))
             return FV, float(np.vdot(FV, US))
 
         def s_image(U1, S, V):
-            UtFV = E(U1) @ bd(S, D(V))
+            UtFV = E(U1).dot(bd(S, D(V)))
             return UtFV, float(np.vdot(UtFV, S))
 
         def l_image(U1, S, V, VS):
-            FtU = right(V) @ bd(S.T, E(U1).T)
+            FtU = right(V).dot(bd(S.T, E(U1).T))
             return FtU, float(np.vdot(FtU, VS))
 
     # the substeps' QR runs without thin_qr's validation and sign
     # convention: a column sign flip of a Q is exact in floating point and
     # absorbed by the core, so the iterate X is the same bit for bit
-    US = U @ S
+    US = U.dot(S)
+    thr = tol * step
     stop = "budget"
     for k in range(1, max_steps + 1):
         # K-step
@@ -775,7 +919,7 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         _check_finite(rho, "splitting iterate")
         S_tilde = S_hat - step * (UtFV - rho * S_hat)
         # L-step, at X = U1 (V S_tilde^T)^T
-        VS = V @ S_tilde.T
+        VS = V.dot(S_tilde.T)
         FtU, rho = l_image(U1, S_tilde, V, VS)
         _check_finite(rho, "splitting iterate")
         V1, S1t = _qr(VS + step * (FtU - rho * VS))
@@ -783,10 +927,10 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         if s_nrm == 0.0 or not math.isfinite(s_nrm):
             raise SolverError("splitting core vanished or blew up")
         S1 = S1t.T / s_nrm
-        US1 = U1 @ S1
-        delta = _step_distance(US, S, V, US1, V1)
+        US1 = U1.dot(S1)
+        delta = _step_distance(US, S, V, US1, V1, thr)
         U, S, V, US = U1, S1, V1, US1
-        if delta <= tol * step:
+        if delta <= thr:
             stop = "converged"
             break
 

@@ -301,6 +301,24 @@ class TestRunExperiment:
         for name in ("psi_solve", "rneg_solve"):
             assert [kw.get("init") is not None for kw in calls[name]] == [True]
 
+    def test_reference_factored_once_per_trial(self, monkeypatch):
+        # power+svd and the warm psi start share one truncated SVD, and
+        # power+nmf and the warm rneg start one HALS fit, per trial
+        calls = {"nmf": 0, "truncated_svd": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counted(name, getattr(bench,
+                                                                   name)))
+        run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2,
+                                        seed=1, trials=2))
+        assert calls == {"nmf": 2, "truncated_svd": 2}
+
 
 class TestCLI:
     def test_generate_and_validate_stochastic(self, tmp_path):
@@ -397,6 +415,17 @@ class TestCLI:
                       "--rank", "1", "--seed", "2")
         assert out.returncode == 0
         assert "neg_count=0" in out.stdout
+
+    def test_solve_rneg_json_reports_capped_steps(self, tmp_path):
+        # the count of accepted steps the crossing cap shortened; a cold
+        # Hadamard start reaches the boundary early
+        path = tmp_path / "op.json"
+        save_operator(HadamardGrowthOperator.standard(100), path)
+        rep = tmp_path / "report.json"
+        assert main(["solve", str(path), "--method", "rneg", "--rank", "3",
+                     "--max-iters", "300", "--out", str(rep)]) == 0
+        details = json.loads(rep.read_text())["details"]
+        assert 0 < details["capped"] <= 300
 
     def test_solve_infinite_step_is_config_error(self, tmp_path):
         path = tmp_path / "op.json"

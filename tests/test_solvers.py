@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,9 +37,12 @@ from nneig.solvers import (
     ORTHONORMAL_TOL,
     PSIState,
     SolverError,
+    _cannot_cross,
+    _crossing_ratios,
     _narrow_form,
     _normalize,
     _step_distance,
+    _trial_step,
     krylov_reference,
     power_reference,
     psi_solve,
@@ -300,6 +303,87 @@ class TestKrylovReference:
             krylov_reference(demo_path_walk(), max_iters=0)
 
 
+def block_grid_warm_solve():
+    """rneg on the first trial of the shipped block-grid benchmark config,
+    warm started from the reference as the bench does."""
+    cfg = ExperimentConfig(kind="block-grid", n=50, rank=10, seed=7,
+                           delta=0.2)
+    op = build_operator(cfg, cfg.seed)
+    ref = krylov_reference(op, tol=cfg.power_tol, max_iters=cfg.power_iters)
+    Xpos = np.maximum(ref.X, 0.0)
+    pair = _vertex_init(Xpos, nmf(Xpos, cfg.rank, seed=cfg.seed))
+    return rneg_solve(op, cfg.rank, seed=cfg.seed, init=pair)
+
+
+# the smallest positive float; entries of a few such units are subnormal
+UNIT = 5e-324
+
+
+@st.composite
+def feasible_steps(draw):
+    """Factors ``W >= 0`` with exact zeros, a direction ``P`` feasible at
+    ``W`` (nonnegative where ``W`` is zero), and a step ``h`` placed just
+    around the smallest crossing ratio.  Entries are normal, tiny or
+    subnormal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        W = np.floor(rng.random(size) * 8) * UNIT
+        P = np.round(rng.standard_normal(size) * 8) * UNIT
+    else:
+        scale = draw(st.sampled_from([1.0, 1e-150, 1e-300, 1e-310, 1e-320]))
+        W = rng.random(size) * scale
+        P = rng.standard_normal(size) * scale * draw(
+            st.sampled_from([1.0, 1e-5, 1e3]))
+    W[rng.random(size) < 0.3] = 0.0
+    P[rng.random(size) < 0.2] = 0.0
+    P[W == 0] = np.abs(P[W == 0])
+    h_adm = _crossing_ratios(W, P, np.empty(size))
+    base = h_adm if 0 < h_adm < np.inf else 0.5
+    h = base * draw(st.sampled_from([1.0, 1 + 1e-12, 1 - 1e-12, 1 + 4e-12,
+                                     1 - 4e-12, 1 + 1e-9, 1 - 1e-9]))
+    return W, P, float(h)
+
+
+class TestTrialStep:
+    """The no-crossing certificate against the crossing-ratio path."""
+
+    @given(feasible_steps())
+    @settings(max_examples=500, deadline=None)
+    # subnormal operands where the certificate, unscaled, would pass at a
+    # step above the crossing ratio 0.5
+    @example((np.array([UNIT]), np.array([-2 * UNIT]), 0.7))
+    def test_certified_step_is_the_ratio_step(self, case):
+        W, P, h = case
+        ratio = np.empty(W.shape)
+        h_adm = _crossing_ratios(W, P, ratio)
+        if _cannot_cross(W, P, h):
+            assert min(h, h_adm) == h
+            full = _trial_step(W, P, h, ratio)
+            plain = _trial_step(W, P, h)
+            assert np.array_equal(plain, full)
+            assert np.array_equal(np.signbit(plain), np.signbit(full))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_certificate_holds_short_of_the_crossing(self, seed):
+        # normal-range operands and a step 1e-9 short of the smallest
+        # crossing ratio: no entry reaches the boundary
+        rng = np.random.default_rng(seed)
+        W = rng.random((30, 3))
+        W[rng.random(W.shape) < 0.3] = 0.0
+        P = rng.standard_normal(W.shape)
+        P[W == 0] = np.abs(P[W == 0])
+        h_adm = _crossing_ratios(W, P, np.empty(W.shape))
+        assert _cannot_cross(W, P, h_adm * (1 - 1e-9))
+        assert not _cannot_cross(W, P, h_adm * (1 + 1e-9))
+
+    def test_step_below_smallest_normal_takes_the_ratio_path(self):
+        W = np.array([1.0, 0.0])
+        P = np.array([1.0, 0.0])
+        assert not _cannot_cross(W, P, 1e-310)
+        assert _cannot_cross(W, P, 1e-300)
+
+
 class TestRNeg:
     def test_path_walk_rank1(self):
         rep = rneg_solve(demo_path_walk(), rank=1, seed=0)
@@ -389,6 +473,9 @@ class TestRNeg:
     @given(arrays(float, (4, 2), elements=st.floats(0, 5)),
            arrays(float, (3, 2), elements=st.floats(0, 5)))
     @settings(max_examples=100, deadline=None)
+    # V's Gram is subnormal here; formed from V itself, the returned Gram
+    # was off by 6.5e-12 relative
+    @example(np.ones((4, 2)), np.full((3, 2), 2.67e-157))
     def test_normalize_gram_norm_matches_dense(self, U, V):
         # rneg scales its factors by the norm of U V^T taken through the
         # Gram matrices, without forming U V^T
@@ -442,18 +529,17 @@ class TestRNeg:
         assert best_scaled_error(rep.X, Xstar) <= 1e-4
 
     def test_block_grid_warm_start_step_count(self):
-        # first trial of the shipped block-grid benchmark config, warm
-        # started from the reference as the bench does
-        cfg = ExperimentConfig(kind="block-grid", n=50, rank=10, seed=7,
-                               delta=0.2)
-        op = build_operator(cfg, cfg.seed)
-        ref = krylov_reference(op, tol=cfg.power_tol,
-                               max_iters=cfg.power_iters)
-        Xpos = np.maximum(ref.X, 0.0)
-        pair = _vertex_init(Xpos, nmf(Xpos, cfg.rank, seed=cfg.seed))
-        rep = rneg_solve(op, cfg.rank, seed=cfg.seed, init=pair)
+        rep = block_grid_warm_solve()
         assert rep.converged
         assert rep.iterations <= 200
+
+    def test_capped_counts_steps_the_crossing_cap_shortened(self):
+        # a warm block-grid solve never reaches the boundary; a cold
+        # Hadamard start crosses it early and often
+        assert block_grid_warm_solve().details["capped"] == 0
+        cold = rneg_solve(HadamardGrowthOperator.standard(100), 3, seed=0,
+                          nmax=300)
+        assert 0 < cold.details["capped"] <= cold.iterations
 
     def test_random_grid_rank3_cold_converges(self):
         cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0)
@@ -693,6 +779,39 @@ def test_step_distance_matches_dense(m, extra, r, size, seed, wide):
     dense = np.linalg.norm(U1 @ S1 @ V1.T - U0 @ S0 @ V0.T)
     got = _step_distance(U0 @ S0, S0, V0, U1 @ S1, V1)
     assert abs(got - dense) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(4, 12), extra=st.integers(1, 6), r=st.integers(1, 4),
+       size=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12]),
+       seed=st.integers(0, 2**32 - 1),
+       where=st.sampled_from(["inner", "exact"]),
+       factor=st.sampled_from([0.5, 1 - 1e-15, 1.0, 1 + 1e-15, 2.0]),
+       move_v=st.booleans())
+def test_step_distance_early_exit(m, extra, r, size, seed, where, factor,
+                                  move_v):
+    # with a threshold, the distance is infinite only when the exact one
+    # exceeds it, and exact otherwise, so psi's stop test decides the same.
+    # With V fixed the second part is roundoff, and the whole distance
+    # can equal the in-span part bit for bit
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    U0, _ = thin_qr(rng.standard_normal((m, r)))
+    V0, _ = thin_qr(rng.standard_normal((n, r)))
+    S0 = rng.standard_normal((r, r))
+    U1, _ = thin_qr(U0 + size * rng.standard_normal((m, r)))
+    V1 = V0
+    if move_v:
+        V1, _ = thin_qr(V0 + size * rng.standard_normal((n, r)))
+    S1 = S0 + size * rng.standard_normal((r, r))
+    args = (U0 @ S0, S0, V0, U1 @ S1, V1)
+    exact = _step_distance(*args)
+    # thresholds around the in-span part alone, and around the whole
+    inner = np.linalg.norm(U1 @ S1 - U0 @ S0 @ (V0.T @ V1))
+    thr = (inner if where == "inner" else exact) * factor
+    got = _step_distance(*args, thr)
+    assert got == exact or (got == np.inf and exact > thr)
+    assert (got <= thr) == (exact <= thr)
 
 
 class AssembledImage(LinearMatrixOperator):
