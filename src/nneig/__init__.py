@@ -6,7 +6,7 @@ entrywise nonnegative and of low rank.  It ships the factored
 sphere-flow integrator (``nneig.solvers.rneg_solve``), dense and factored
 operator types for Markov transition grids and Metzler growth-diffusion
 operators (``nneig.operators``, ``nneig.markovgrid``), classical baselines
-(power and Krylov references, truncated SVD, HALS NMF, projector-splitting
+(Krylov reference, truncated SVD, HALS NMF, projector-splitting
 integrator), and a benchmark harness (``nneig.bench``) with a small CLI
 (``python -m nneig``).  Import the names from those submodules.
 """

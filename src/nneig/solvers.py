@@ -1,4 +1,4 @@
-"""Eigenpair solvers: power and Krylov references, nonnegative low-rank
+"""Eigenpair solvers: the Krylov reference, nonnegative low-rank
 integrator, and projector-splitting baseline.
 
 All solvers target the rightmost eigenpair ``A(X) = lam X`` of a
@@ -37,7 +37,6 @@ __all__ = [
     "EigenReport",
     "PSIState",
     "rayleigh",
-    "power_reference",
     "krylov_reference",
     "rneg_solve",
     "psi_solve",
@@ -64,11 +63,10 @@ class EigenReport:
     ``details`` is the record of how the solve ended: ``stop`` is
     ``"converged"``, ``"budget"`` or (``rneg`` only) ``"stalled"``, and
     ``converged == (stop == "converged")``.  The other keys are outcomes
-    and resolved defaults of the method: ``shift`` (power), ``basis``,
-    ``restarts``, ``thick_restarts``, ``explicit_restarts``, ``breakdown``
-    (Krylov), ``h`` (psi), and ``h0``, ``grad`` (the final
-    projected-gradient norm), ``rejected``, ``capped``, ``h_min``,
-    ``h_max`` (rneg).
+    and resolved defaults of the method: ``basis``, ``restarts``,
+    ``thick_restarts``, ``explicit_restarts``, ``breakdown`` (Krylov),
+    ``h`` (psi), and ``h0``, ``grad`` (the final projected-gradient norm),
+    ``rejected``, ``capped``, ``h_min``, ``h_max`` (rneg).
     """
 
     method: str
@@ -199,58 +197,6 @@ def _narrow_form(op: LinearMatrixOperator, rank: int) -> FactorForm | None:
     return form
 
 
-# weight of the identity in the power_reference step; a positive one keeps
-# the iteration from cycling on periodic chains
-POWER_DAMPING = 0.5
-
-
-def power_reference(op: LinearMatrixOperator, tol: float = 1e-8,
-                    max_iters: int = 500_000,
-                    X0: np.ndarray | None = None) -> EigenReport:
-    """Damped, shifted power iteration for the rightmost eigenpair.
-
-    Iterates ``X <- (1 - d) (A(X) + shift X) + d X`` with Frobenius
-    renormalization, damping ``d = POWER_DAMPING`` and the operator's
-    ``default_shift()`` (zero for probabilistic grids), which makes the
-    iteration map the nonnegative orthant to itself; the damping term
-    handles periodic chains.  The reported eigenvalue is always that of
-    the *unshifted* operator, and ``details["shift"]`` the shift used.
-
-    Convergence is declared when ``||A(X) - rho X||_F <= tol``.  If the
-    budget runs out first, the last iterate is returned with
-    ``converged=False``; this is the expected behavior when the rightmost
-    eigenvalues are nearly degenerate, in which case the Rayleigh value is
-    still accurate to about the degeneracy gap.
-    """
-    t0 = time.perf_counter()
-    _check_tol(tol)
-    _check_budget(max_iters, "max_iters")
-    sigma = op.default_shift()
-    m, n = op.shape
-    if X0 is None:
-        X = np.full((m, n), 1.0 / np.sqrt(m * n))
-    else:
-        X = np.asarray(X0, dtype=float).copy()
-        nrm = np.linalg.norm(X)
-        if nrm == 0:
-            raise ValueError("starting matrix must be nonzero")
-        X /= nrm
-    stop = "budget"
-    for it in range(1, max_iters + 1):
-        Y = op.apply_full(X)
-        lam, res = rayleigh(op, X, Y)
-        _check_finite(lam, "power iterate")
-        if res <= tol:
-            stop = "converged"
-            break
-        Z = (1.0 - POWER_DAMPING) * (Y + sigma * X) + POWER_DAMPING * X
-        nrm = float(np.linalg.norm(Z))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise SolverError("power iterate vanished or blew up")
-        X = Z / nrm
-    return _report("power", op, X, t0, it, stop, {"shift": sigma})
-
-
 # Arnoldi basis size of krylov_reference, the number of rightmost Ritz
 # vectors a thick restart keeps (KRYLOV_KEEP + 1 < KRYLOV_BASIS leaves room
 # for a conjugate pair and a new vector), and the cycles in a row without
@@ -278,7 +224,8 @@ def _thick_basis(theta: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
-                     max_iters: int = 500_000) -> EigenReport:
+                     max_iters: int = 500_000,
+                     X0: np.ndarray | None = None) -> EigenReport:
     """Thick-restart Arnoldi; the reference rightmost eigenpair.
 
     Each cycle extends an Arnoldi decomposition on ``op.apply_full`` to
@@ -286,15 +233,15 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     by two passes of classical Gram-Schmidt, with projected matrix ``H``.
     It ends on the real part of the Ritz vector of the rightmost Ritz
     value, scaled to unit Frobenius norm and positive sum: the restart
-    matrix ``X``.  The first cycle starts from the uniform matrix, as
-    :func:`power_reference` does, so on a degenerate rightmost eigenvalue
-    both converge to the same eigenmatrix: the Krylov space of the start
-    holds one direction of each eigenspace.  Krylov spaces do not change
-    under ``A -> a A + b I``, so neither a shift nor damping is needed.
+    matrix ``X``.  The first cycle starts from ``X0 / ||X0||_F``, by
+    default the uniform matrix.  On a degenerate rightmost eigenvalue the
+    start picks the eigenmatrix: its Krylov space holds one direction of
+    each eigenspace.  Krylov spaces do not change under ``A -> a A + b I``,
+    so neither a shift nor damping is needed.
 
-    Convergence is declared on the same true residual as the power
-    iteration, ``||A(X) - rho X||_F <= tol``, evaluated once per cycle on
-    the exact image ``Y = A(X)``.  The next cycle restarts in one of two
+    Convergence is declared on the true residual
+    ``||A(X) - rho X||_F <= tol``, evaluated once per cycle on the exact
+    image ``Y = A(X)``.  The next cycle restarts in one of two
     ways (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001; Morgan, Math.
     Comp. 65, 1996):
 
@@ -329,10 +276,18 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
     _check_budget(max_iters, "max_iters")
     m, n = op.shape
     size = m * n
+    if X0 is not None:
+        X0 = np.asarray(X0, dtype=float)
+        nrm = float(np.linalg.norm(X0)) if X0.shape == (m, n) else 0.0
+        if not (nrm > 0 and math.isfinite(nrm)):
+            raise ValueError(f"X0 must be a finite, nonzero {m}x{n} matrix")
     p = min(KRYLOV_BASIS, size)
     Q = np.empty((p + 1, size))
     H = np.zeros((p + 1, p))
-    X = np.full((m, n), 1.0 / np.sqrt(size))
+    # the start is allocated after the basis: in the other order, the
+    # block-sparse workload's operator builds that follow a solve in the
+    # same process ran up to 16% slower (5 of 6 runs; cause not traced)
+    X = np.full((m, n), 1.0 / np.sqrt(size)) if X0 is None else X0 / nrm
     Y = op.apply_full(X)
     applies = 1
     thick = explicit = 0

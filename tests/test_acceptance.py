@@ -28,7 +28,7 @@ from nneig.operators import (
     SeparableGrowthOperator,
     vectorize_operator,
 )
-from nneig.solvers import power_reference, rayleigh, rneg_solve
+from nneig.solvers import krylov_reference, rayleigh, rneg_solve
 
 
 # 3-node path walk, the hand-checkable lattice chain
@@ -74,9 +74,9 @@ def _timed(fn, *args):
 
 
 def test_criterion_02_clustered_walk_eigenpair():
-    """Power reference: eigenvalue 1 to 1e-8, matrix to 5e-4, under 1 s."""
+    """Reference eigenpair: eigenvalue 1 to 1e-8, matrix to 5e-4, under 1 s."""
     t0 = time.perf_counter()
-    rep = power_reference(demo_clustered_walk(), tol=1e-10)
+    rep = krylov_reference(demo_clustered_walk(), tol=1e-10)
     dt = time.perf_counter() - t0
     assert rep.eigenvalue == pytest.approx(1.0, abs=1e-8)
     dev = np.abs(rep.X - X_CLUSTERED).max()
@@ -88,7 +88,7 @@ def test_criterion_02_clustered_walk_eigenpair():
 
 def test_criterion_03_clustered_walk_svd_baseline():
     """Rank-2 truncation error 0.5336 +- 5e-4 with exactly 2 negatives."""
-    ref = power_reference(demo_clustered_walk(), tol=1e-12)
+    ref = krylov_reference(demo_clustered_walk(), tol=1e-12)
     X2 = truncated_svd(ref.X, 2).reconstruct()
     err = float(np.linalg.norm(ref.X - X2))
     negs = int(np.sum(X2 < 0))
@@ -101,7 +101,7 @@ def test_criterion_04_clustered_walk_constrained_rank2():
     """Sign-constrained rank-2 solves: zero negatives, error in
     [0.5336, 0.60] for ten seeds, under 30 s total."""
     op = demo_clustered_walk()
-    ref = power_reference(op, tol=1e-12)
+    ref = krylov_reference(op, tol=1e-12)
     t0 = time.perf_counter()
     errs = []
     for seed in range(10):
@@ -254,11 +254,11 @@ def test_criterion_10_invariant_suite():
     Xs /= np.linalg.norm(Xs)
     assert rayleigh(demo_path_walk(), Xs)[1] <= 1e-12
 
-    # power limit does not depend on the start
-    base = power_reference(op, tol=1e-11)
+    # the reference's limit does not depend on the start
+    base = krylov_reference(op, tol=1e-11)
     for seed in range(3):
         r2 = np.random.default_rng(seed)
-        rep = power_reference(op, tol=1e-11, X0=r2.random((3, 3)) + 0.05)
+        rep = krylov_reference(op, tol=1e-11, X0=r2.random((3, 3)) + 0.05)
         assert np.abs(rep.X - base.X).max() <= 1e-8
 
     # feasible projection never opposes its input

@@ -35,7 +35,7 @@ from nneig.bench import (
 from nneig.markovgrid import demo_path_walk
 from nneig.operators import (HadamardGrowthOperator, load_operator,
                              save_operator)
-from nneig.solvers import krylov_reference, power_reference
+from nneig.solvers import krylov_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -121,7 +121,7 @@ class TestExperimentConfig:
 class TestEvaluateAgainstReference:
     def setup_method(self):
         self.op = demo_path_walk()
-        self.ref = power_reference(self.op, tol=1e-11)
+        self.ref = krylov_reference(self.op, tol=1e-11)
 
     def test_reference_against_itself(self):
         row = evaluate_against_reference(self.op, self.ref.X, self.ref,
@@ -265,9 +265,9 @@ class TestRunExperiment:
 
     def test_dispatch_calls_module_names(self, monkeypatch):
         # perfbench/tracing.py swaps these names on nneig.bench to time
-        # them, and tells warm starts by the init keyword; a dispatch that
-        # bypasses them would go untraced and charge warm solves nothing
-        # for the reference
+        # them, power_reference as its reference span, and tells warm
+        # starts by the init keyword; a dispatch that bypasses them would
+        # go untraced and charge warm solves nothing for the reference
         calls = {}
 
         def recorder(name, fn):
@@ -276,27 +276,32 @@ class TestRunExperiment:
                 return fn(*args, **kwargs)
             return recorded
 
-        for name in ("build_operator", "psi_solve", "rneg_solve", "nmf",
-                     "truncated_svd", "evaluate_against_reference",
-                     "generate_block_grid"):
+        for name in ("build_operator", "power_reference", "psi_solve",
+                     "rneg_solve", "nmf", "truncated_svd",
+                     "evaluate_against_reference", "generate_block_grid"):
             monkeypatch.setattr(bench, name,
                                 recorder(name, getattr(bench, name)))
         for name in ("HadamardGrowthOperator", "SeparableGrowthOperator"):
             standard = getattr(bench, name).standard
             monkeypatch.setattr(bench, name, SimpleNamespace(
                 standard=recorder(name, standard)))
-        assert callable(bench.power_reference)
         # block grids warm-start both integrators from the reference
-        run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2,
-                                        seed=1))
-        for kind in ("hadamard-growth", "separable-growth"):
-            run_experiment(ExperimentConfig(kind=kind, n=6, rank=1,
-                                            methods=("power",)))
+        cfgs = [ExperimentConfig(kind="block-grid", n=6, rank=2, seed=1,
+                                 power_tol=1e-12)]
+        cfgs += [ExperimentConfig(kind=kind, n=6, rank=1, methods=("power",),
+                                  power_iters=300)
+                 for kind in ("hadamard-growth", "separable-growth")]
+        for cfg in cfgs:
+            run_experiment(cfg)
         assert set(calls) == {
-            "build_operator", "psi_solve", "rneg_solve", "nmf",
-            "truncated_svd", "evaluate_against_reference",
+            "build_operator", "power_reference", "psi_solve", "rneg_solve",
+            "nmf", "truncated_svd", "evaluate_against_reference",
             "generate_block_grid", "HadamardGrowthOperator",
             "SeparableGrowthOperator"}
+        # one reference per trial, with the config's tolerance and budget
+        assert calls["power_reference"] == [
+            {"tol": cfg.power_tol, "max_iters": cfg.power_iters}
+            for cfg in cfgs]
         assert len(calls["evaluate_against_reference"]) == 7
         for name in ("psi_solve", "rneg_solve"):
             assert [kw.get("init") is not None for kw in calls[name]] == [True]

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from nneig.bench import ExperimentConfig, build_operator
 from nneig.lowrank import NMFResult, SVDTriple, best_scaled_error, nmf, truncated_svd
 from nneig.markovgrid import demo_clustered_walk
-from nneig.solvers import krylov_reference, power_reference
+from nneig.solvers import krylov_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,7 +46,7 @@ def golden_scale_error(X, Xstar, iters=200):
 
 def clustered_stationary():
     op = demo_clustered_walk()
-    ref = power_reference(op, tol=1e-12)
+    ref = krylov_reference(op, tol=1e-12)
     return ref.X / np.linalg.norm(ref.X)
 
 

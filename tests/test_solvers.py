@@ -1,5 +1,4 @@
-"""Tests for the power and Krylov references and the two factored ODE
-solvers.
+"""Tests for the Krylov reference and the two factored ODE solvers.
 
 Growth-operator eigenvalues are checked against a dense eigendecomposition
 of the explicitly assembled operator matrix, built column by column from
@@ -44,7 +43,6 @@ from nneig.solvers import (
     _step_distance,
     _trial_step,
     krylov_reference,
-    power_reference,
     psi_solve,
     rayleigh,
     rneg_solve,
@@ -64,11 +62,16 @@ def dense_rightmost(op):
     P = np.array(cols).T
     w, V = np.linalg.eig(P)
     k = np.argmax(w.real)
-    X = V[:, k].real.reshape((m, n), order="F")
-    X /= np.linalg.norm(X)
+    lam, x = w[k].real, V[:, k].real
+    # eig's vector can be off by about 1e-9; two inverse-iteration steps
+    # polish it to roundoff
+    for _ in range(2):
+        x = np.linalg.solve(P - lam * np.eye(m * n), x)
+        x /= np.linalg.norm(x)
+    X = x.reshape((m, n), order="F")
     if X.sum() < 0:
         X = -X
-    return w[k].real, X
+    return lam, X
 
 
 def path_stationary():
@@ -83,59 +86,6 @@ def symmetric_grid():
                   [0.0, 0.5, 0.5]])
     I = np.eye(3)
     return MarkovGridOperator([(0.5, A, I), (0.5, I, A)])
-
-
-class TestPowerReference:
-    def test_path_walk_eigenvalue(self):
-        rep = power_reference(demo_path_walk(), tol=1e-10)
-        assert rep.eigenvalue == pytest.approx(1.0, abs=1e-8)
-        assert rep.converged
-
-    def test_path_walk_eigenmatrix(self):
-        rep = power_reference(demo_path_walk(), tol=1e-10)
-        np.testing.assert_allclose(rep.X, path_stationary(), atol=5e-4)
-
-    def test_clustered_walk_eigenvalue(self):
-        rep = power_reference(demo_clustered_walk(), tol=1e-10)
-        assert rep.eigenvalue == pytest.approx(1.0, abs=1e-8)
-
-    def test_residual_field_consistent(self):
-        rep = power_reference(demo_clustered_walk(), tol=1e-10)
-        assert rep.residual == pytest.approx(
-            rayleigh(demo_clustered_walk(), rep.X)[1], abs=1e-14)
-        assert rep.residual <= 1e-10
-
-    @given(st.integers(min_value=0, max_value=10 ** 6))
-    @settings(max_examples=15, deadline=None)
-    def test_start_independence(self, seed):
-        # P4: the limit does not depend on the (nonzero) starting matrix
-        op = demo_clustered_walk()
-        rng = np.random.default_rng(seed)
-        X0 = rng.random((3, 3)) + 0.05
-        rep = power_reference(op, tol=1e-11, X0=X0)
-        base = power_reference(op, tol=1e-11)
-        np.testing.assert_allclose(rep.X, base.X, atol=1e-8)
-
-    def test_growth_operator_matches_dense_eig(self):
-        op = SeparableGrowthOperator.standard(12)
-        lam, X = dense_rightmost(op)
-        rep = power_reference(op, tol=1e-11)
-        assert rep.eigenvalue == pytest.approx(lam, abs=1e-9)
-        np.testing.assert_allclose(rep.X, X, atol=1e-7)
-
-    def test_unit_norm_and_nonnegative_mass(self):
-        rep = power_reference(demo_path_walk(), tol=1e-10)
-        assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-12)
-        assert rep.X.sum() > 0
-
-    def test_zero_start_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            power_reference(demo_path_walk(), X0=np.zeros((3, 3)))
-
-    def test_budget_exhaustion_reported(self):
-        rep = power_reference(demo_clustered_walk(), tol=1e-12, max_iters=3)
-        assert not rep.converged
-        assert rep.iterations == 3
 
 
 class TestKrylovReference:
@@ -156,17 +106,32 @@ class TestKrylovReference:
                                              abs=1e-14)
         assert np.linalg.norm(rep.X) == pytest.approx(1.0, abs=1e-12)
         assert rep.X.sum() > 0
-        power = power_reference(op, tol=1e-11)
-        assert rep.eigenvalue == pytest.approx(power.eigenvalue, abs=1e-10)
-        np.testing.assert_allclose(rep.X, power.X, atol=1e-9)
         lam, X = dense_rightmost(op)
         assert rep.eigenvalue == pytest.approx(lam, abs=1e-9)
-        np.testing.assert_allclose(rep.X, X, atol=1e-7)
+        np.testing.assert_allclose(rep.X, X, atol=1e-9)
 
-    def test_fewer_applications_than_power(self):
-        op = HadamardGrowthOperator.standard(9)
-        rep = krylov_reference(op, tol=1e-11)
-        assert rep.iterations < power_reference(op, tol=1e-11).iterations
+    def test_path_walk_eigenmatrix(self):
+        rep = krylov_reference(demo_path_walk(), tol=1e-10)
+        np.testing.assert_allclose(rep.X, path_stationary(), atol=5e-4)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_start_independence(self, seed):
+        # P4: the limit does not depend on the (nonzero) starting matrix
+        op = demo_clustered_walk()
+        rng = np.random.default_rng(seed)
+        X0 = rng.random((3, 3)) + 0.05
+        rep = krylov_reference(op, tol=1e-11, X0=X0)
+        base = krylov_reference(op, tol=1e-11)
+        np.testing.assert_allclose(rep.X, base.X, atol=1e-8)
+
+    @pytest.mark.parametrize("X0", [
+        np.zeros((3, 3)), np.ones((3, 2)), np.ones(9),
+        np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+    ], ids=["zero", "shape", "flat", "nan", "inf"])
+    def test_bad_start_rejected(self, X0):
+        with pytest.raises(ValueError, match="X0"):
+            krylov_reference(demo_path_walk(), X0=X0)
 
     def test_budget_exhaustion_reported(self):
         op = SeparableGrowthOperator.standard(9)
@@ -416,7 +381,7 @@ class TestRNeg:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_clustered_walk_stationary_error(self, seed):
         # frozen: seeds land on a common stationary point at error 0.53415
-        ref = power_reference(demo_clustered_walk(), tol=1e-12)
+        ref = krylov_reference(demo_clustered_walk(), tol=1e-12)
         rep = rneg_solve(demo_clustered_walk(), rank=2, seed=seed)
         err = best_scaled_error(rep.X, ref.X)
         assert err == pytest.approx(0.53415, abs=5e-4)
@@ -476,18 +441,30 @@ class TestRNeg:
     # V's Gram is subnormal here; formed from V itself, the returned Gram
     # was off by 6.5e-12 relative
     @example(np.ones((4, 2)), np.full((3, 2), 2.67e-157))
+    # scaled, V passes 1e154 and its Gram overflows: whole, and beside
+    # finite entries that must still match
+    @example(np.full((4, 2), 5e-324), np.full((3, 2), 5.0))
+    @example(np.full((4, 2), 5e-324), np.array([[5.0, 1e-160]] * 3))
     def test_normalize_gram_norm_matches_dense(self, U, V):
         # rneg scales its factors by the norm of U V^T taken through the
         # Gram matrices, without forming U V^T
         W = np.concatenate((U, V))
         gram = 0.0
-        grams = _normalize(W, 4)
-        if grams is not None:
-            gram = (W.max() / max(U.max(), V.max())) ** -2
-            # the Grams it returns are those of the scaled factors
-            for G, F in zip(grams, (W[:4], W[4:])):
-                np.testing.assert_allclose(G, F.T @ F, rtol=1e-14,
-                                           atol=1e-14 * np.abs(G).max())
+        # a scaled factor past 1e154 overflows its Gram, and one that is
+        # as large against a tiny original overflows the ratio below
+        with np.errstate(over="ignore"):
+            grams = _normalize(W, 4)
+            if grams is not None:
+                gram = (W.max() / max(U.max(), V.max())) ** -2
+                # the Grams it returns are those of the scaled factors:
+                # infinite where those overflow, and equal to them elsewhere
+                for G, F in zip(grams, (W[:4], W[4:])):
+                    D = F.T @ F
+                    finite = np.isfinite(D)
+                    np.testing.assert_array_equal(np.isfinite(G), finite)
+                    np.testing.assert_allclose(
+                        G[finite], D[finite], rtol=1e-14,
+                        atol=1e-14 * np.abs(G[finite]).max(initial=0.0))
         assert gram == pytest.approx(np.linalg.norm(U @ V.T), abs=1e-9)
 
     @pytest.mark.parametrize("h0", [np.inf, np.nan])
@@ -591,7 +568,7 @@ class TestPSI:
     def test_clustered_walk_signed_limit(self):
         # the unconstrained rank-2 limit carries negative entries, like the
         # SVD truncation it approximates
-        ref = power_reference(demo_clustered_walk(), tol=1e-12)
+        ref = krylov_reference(demo_clustered_walk(), tol=1e-12)
         rep = psi_solve(demo_clustered_walk(), rank=2, seed=0, tol=1e-10)
         assert rep.neg_count > 0
         assert best_scaled_error(rep.X, ref.X) == pytest.approx(0.534, abs=2e-3)
@@ -971,11 +948,10 @@ class TestProjectedImagePath:
 
 
 @pytest.mark.parametrize("solve", [
-    lambda op, tol: power_reference(op, tol=tol),
     lambda op, tol: krylov_reference(op, tol=tol),
     lambda op, tol: psi_solve(op, 1, tol=tol),
     lambda op, tol: rneg_solve(op, 1, tol=tol),
-], ids=["power", "krylov", "psi", "rneg"])
+], ids=["krylov", "psi", "rneg"])
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_bad_tolerance_rejected(solve, tol):
     # a NaN or negative tolerance can never be met, so the solve would
@@ -985,11 +961,10 @@ def test_bad_tolerance_rejected(solve, tol):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda op, n: power_reference(op, max_iters=n),
     lambda op, n: krylov_reference(op, max_iters=n),
     lambda op, n: psi_solve(op, 1, max_steps=n),
     lambda op, n: rneg_solve(op, 1, nmax=n),
-], ids=["power", "krylov", "psi", "rneg"])
+], ids=["krylov", "psi", "rneg"])
 @pytest.mark.parametrize("budget", [0, -1])
 def test_bad_budget_rejected(solve, budget):
     # a solve without a single step would return its start as a result
@@ -998,14 +973,12 @@ def test_bad_budget_rejected(solve, budget):
 
 
 @pytest.mark.parametrize("make,solve,key", [
-    (demo_path_walk, lambda op, **kw: power_reference(op, tol=1e-10, **kw),
-     "max_iters"),
     (lambda: SeparableGrowthOperator.standard(9),
      lambda op, **kw: krylov_reference(op, tol=1e-11, **kw), "max_iters"),
     (demo_path_walk, lambda op, **kw: psi_solve(op, 1, tol=1e-10, **kw),
      "max_steps"),
     (demo_path_walk, lambda op, **kw: rneg_solve(op, 1, **kw), "nmax"),
-], ids=["power", "krylov", "psi", "rneg"])
+], ids=["krylov", "psi", "rneg"])
 @pytest.mark.parametrize("stop", ["converged", "budget"])
 def test_stop_reason(make, solve, key, stop):
     # the report describes the X it returns, also when the budget ran out
