@@ -150,9 +150,10 @@ def generate_block_grid(spec: BlockGridSpec) -> MarkovGridOperator:
     terms = []
     for i in range(t):
         lo, hi = offsets[i], offsets[i + 1]
-        base = np.eye(n) if spec.style == "stochastic" else np.zeros((n, n))
-        A = base.copy()
-        B = base.copy()
+        if spec.style == "stochastic":
+            A, B = np.eye(n), np.eye(n)
+        else:
+            A, B = np.zeros((n, n)), np.zeros((n, n))
         A[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
         B[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
         terms.append((w[i], A, B))

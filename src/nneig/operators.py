@@ -168,9 +168,12 @@ class MarkovGridOperator(LinearMatrixOperator):
         m, n = self.shape
         dense, sparse_terms = [], []
         for w, A, B in self.terms:
-            nnz = np.count_nonzero(A) * np.count_nonzero(B)
-            if nnz * 16 <= m * n * (m + n):
-                sparse_terms.append((w, A, B))
+            # one scan per factor: the row-major flat indices of its
+            # nonzeros size the split and locate the fold's entries
+            fa = np.flatnonzero(A != 0)
+            fb = np.flatnonzero(B != 0)
+            if fa.size * fb.size * 16 <= m * n * (m + n):
+                sparse_terms.append((w, A.take(fa), fa, B.take(fb), fb))
             else:
                 dense.append((w, A, B))
         self._dense_terms = dense
@@ -189,19 +192,37 @@ class MarkovGridOperator(LinearMatrixOperator):
             # column-major vec: vec(A^T X B) = (B^T kron A^T) vec(X).  The
             # fold keeps the nonzeros of sum_p w_p (B_p^T kron A_p^T) as
             # (row, col, value) sorted by position, a repeated position
-            # summed in term order
+            # summed in term order.  A flat index f of A is A^T's entry
+            # (f % m, f // m), and a term's Kronecker entry pairs a nonzero
+            # (bi, bj) of B^T with one (ai, aj) of A^T at
+            # (bi m + ai, bj m + aj), with value w (b a).  All terms' pairs
+            # are formed at once, term by term and B-major within a term.
+            # Distinct pairs of one term land on distinct positions, so a
+            # position's values come from different terms, and the order
+            # within a term cannot change a sum: bincount adds them in term
+            # order whatever it is
             mn = m * n
-            keys, vals = [], []
-            for w, A, B in sparse_terms:
-                At, Bt = A.T, B.T
-                ai, aj = np.nonzero(At)
-                bi, bj = np.nonzero(Bt)
-                keys.append(((bi[:, None] * m + ai) * mn
-                             + bj[:, None] * m + aj).ravel())
-                vals.append((w * (Bt[bi, bj][:, None] * At[ai, aj])).ravel())
-            keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+            w, av, fa, bv, fb = zip(*sparse_terms)
+            na = np.array([f.size for f in fa])
+            nb = np.array([f.size for f in fb])
+            fa, av = np.concatenate(fa), np.concatenate(av)
+            fb, bv = np.concatenate(fb), np.concatenate(bv)
+            aj, ai = np.divmod(fa, m)
+            bj, bi = np.divmod(fb, n)
+            # each B nonzero pairs with every A nonzero of its term: the
+            # pairs of B entry e are A entries start_e, start_e + 1, ..
+            per_b = np.repeat(na, nb)
+            reps = np.cumsum(per_b)
+            start = np.repeat(np.cumsum(na) - na, nb) - (reps - per_b)
+            pa = np.arange(reps[-1] if reps.size else 0) \
+                + np.repeat(start, per_b)
+            keys = (np.repeat(bi * m * mn + bj * m, per_b)
+                    + (ai * mn + aj)[pa])
+            vals = np.repeat(np.array(w), na * nb) \
+                * (np.repeat(bv, per_b) * av[pa])
+            keys, at = np.unique(keys, return_inverse=True)
             self._fold = (keys // mn, keys % mn,
-                          np.bincount(at, weights=np.concatenate(vals)))
+                          np.bincount(at, weights=vals))
 
     def _lift_left(self, U: np.ndarray) -> np.ndarray:
         # [w_1 A_1^T U, .., w_K A_K^T U]

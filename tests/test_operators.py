@@ -144,15 +144,29 @@ class TestMarkovGridOperator:
         assert op.apply_factored(U, V).shape == (3, 6)
 
     def test_empty_terms_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one term is required$"):
             MarkovGridOperator([])
 
     def test_inconsistent_sizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^term 1: inconsistent sizes$"):
             MarkovGridOperator([
                 (0.5, np.eye(2), np.eye(3)),
                 (0.5, np.eye(4), np.eye(3)),
             ])
+
+    @pytest.mark.parametrize("terms,message", [
+        ([(0.5, np.eye(2), np.eye(3)), (0.5, np.diag([1.0, np.nan]), np.eye(3))],
+         "term 1: A contains non-finite entries"),
+        ([(0.5, np.eye(2), np.diag([1.0, 2.0, -np.inf]))],
+         "term 0: B contains non-finite entries"),
+        ([(0.5, np.ones((2, 3)), np.eye(3))], "term 0: factors must be square"),
+        ([(0.5, np.eye(2), np.ones((3, 2)))], "term 0: factors must be square"),
+        ([(0.5, np.eye(2), np.eye(3)), (np.inf, np.eye(2), np.eye(3))],
+         "term 1: non-finite weight"),
+    ], ids=["A-nan", "B-inf", "A-not-square", "B-not-square", "weight"])
+    def test_bad_term_named(self, terms, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarkovGridOperator(terms)
 
     @pytest.mark.parametrize("make", [
         lambda: TestMarkovGridOperator().make_random(12),
@@ -208,11 +222,129 @@ class TestMarkovGridOperator:
         )
 
 
+def reference_plan(terms, m, n):
+    """The grid's evaluation plan, built the plain way: a loop over the
+    terms that splits on count_nonzero and takes each sparse term's
+    Kronecker entries from np.nonzero of the transposed factors.  Returns
+    the fold and the three dense stacks, as the operator stores them."""
+    mn = m * n
+    dense, keys, vals = [], [], []
+    for w, A, B in terms:
+        if np.count_nonzero(A) * np.count_nonzero(B) * 16 > m * n * (m + n):
+            dense.append((w, A, B))
+            continue
+        At, Bt = A.T, B.T
+        ai, aj = np.nonzero(At)
+        bi, bj = np.nonzero(Bt)
+        keys.append(((bi[:, None] * m + ai) * mn
+                     + bj[:, None] * m + aj).ravel())
+        vals.append((w * (Bt[bi, bj][:, None] * At[ai, aj])).ravel())
+    fold = None
+    if keys:
+        keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+        fold = (keys // mn, keys % mn,
+                np.bincount(at, weights=np.concatenate(vals)))
+    if not dense:
+        return fold, None, None, None
+    return (fold, np.stack([w * A.T for w, A, _ in dense]),
+            np.stack([B.T.copy() for _, _, B in dense]),
+            np.concatenate([B for _, _, B in dense], axis=0))
+
+
+def assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_plan_matches_reference(op):
+    fold, wAt, Bt, Bv = reference_plan(op.terms, *op.shape)
+    if fold is None:
+        assert op._fold is None
+    else:
+        assert len(op._fold) == 3
+        for got, want in zip(op._fold, fold):
+            assert_same_bits(got, want)
+    assert_same_bits(op._dense_wAt, wAt)
+    assert_same_bits(op._dense_Bt, Bt)
+    assert_same_bits(op._dense_Bv, Bv)
+
+
+@st.composite
+def grid_terms(draw):
+    """Terms of a small, possibly rectangular grid.  Factors are empty,
+    one-entry, diagonal, sparse or full, with signed entries, so some terms
+    fold and some stay dense, and folded terms share positions; weights
+    include zero and negative values."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(size):
+        kind = draw(st.sampled_from(["zero", "one", "diag", "sparse", "full"]))
+        M = rng.standard_normal((size, size))
+        if kind == "zero":
+            return np.zeros((size, size))
+        if kind == "one":
+            return np.where(np.arange(size * size).reshape(size, size)
+                            == rng.integers(size * size), M, 0.0)
+        if kind == "diag":
+            return np.diag(np.diag(M))
+        if kind == "sparse":
+            return np.where(rng.random((size, size)) < 0.3, M, 0.0)
+        return M
+
+    weight = st.sampled_from([0.0, -0.0, 1.0, -0.75]) | st.floats(
+        -4.0, 4.0, allow_nan=False)
+    return [(draw(weight), factor(m), factor(n))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
 class TestSparseFold:
     # ten block terms that are the identity outside their own 3x3 block,
     # plus one dense term
     SPEC = BlockGridSpec(sizes=(3,) * 10, delta=0.3, seed=2,
                          style="stochastic")
+
+    @given(grid_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_plan_matches_per_term_loop(self, terms):
+        # the vectorized fold and the split against the plain per-term
+        # loop, bit for bit and dtype for dtype
+        assert_plan_matches_reference(MarkovGridOperator(terms))
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_block_grid(TestSparseFold.SPEC),
+        lambda: generate_block_grid(BlockGridSpec(
+            sizes=(1,) * 50, delta=0.2, seed=7, style="trap")),
+        lambda: generate_block_grid(BlockGridSpec(
+            sizes=(1, 3, 7, 2, 20, 4), delta=0.1, seed=1, style="trap")),
+        # rectangular, shared positions, signed and zero weights
+        lambda: MarkovGridOperator([
+            (0.5, np.eye(3), np.diag([1.0, 0.0, 2.0, 0.0, 0.0, 3.0])),
+            (-1.5, np.eye(3)[::-1], np.eye(6)),
+            (0.0, np.eye(3), np.eye(6)),
+            (0.25, np.full((3, 3), 0.5), np.full((6, 6), 0.5))]),
+        # an all-zero A and an all-zero B: a fold with no entries
+        lambda: MarkovGridOperator([
+            (0.5, np.zeros((2, 2)), np.eye(4)),
+            (0.5, np.eye(2), np.zeros((4, 4))),
+            (1.0, np.ones((2, 2)), np.ones((4, 4)))]),
+        # no dense term
+        lambda: MarkovGridOperator([(1.0, np.zeros((3, 3)), np.eye(3))]),
+    ], ids=["stochastic-blocks", "block-sparse", "mixed-trap",
+            "rectangular-signed", "empty-fold", "all-sparse"])
+    def test_plan_matches_per_term_loop_on_grids(self, make):
+        assert_plan_matches_reference(make())
+
+    def test_empty_fold(self):
+        op = MarkovGridOperator([(0.5, np.zeros((2, 2)), np.eye(4)),
+                                 (0.5, np.eye(2), np.zeros((4, 4)))])
+        rows, cols, vals = op._fold
+        assert rows.size == cols.size == vals.size == 0
+        np.testing.assert_array_equal(op.apply_full(np.ones((2, 4))),
+                                      np.zeros((2, 4)))
 
     def test_one_entry_per_distinct_position(self):
         op = generate_block_grid(self.SPEC)
