@@ -118,7 +118,7 @@ class ExperimentConfig:
     # rneg_h0 is only the initial step of the sign-constrained flow (None
     # = the operator's default step, 0.4 / s for the reach s of its
     # spectrum: 0.4 on probabilistic grids); the step then grows under a
-    # ceiling that starts at the stability bound 2 / s and falls with
+    # ceiling that starts at 0.95 of the stability bound 2 / s and falls with
     # each rejected trial.  rneg_tol is its stationarity tolerance: the
     # run stops once an unclamped step ends at a projected-gradient norm
     # of at most tol / default step, whatever rneg_h0 is, so 1e-8 stops

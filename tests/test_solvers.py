@@ -410,6 +410,24 @@ class TestRNeg:
         rep = rneg_solve(op, rank=rank, seed=4, nmax=nmax)
         assert rep.details["h_max"] <= op.default_step() * 2 / STEP_FRACTION
 
+    def test_unrejected_step_stays_inside_bound(self):
+        # with no trial rejected the step climbs to its starting ceiling,
+        # which lies strictly inside the bound 2 / s: on the bound an
+        # explicit step does not damp the stiffest mode.  h0 is the
+        # resolved default step STEP_FRACTION / s
+        rep = block_grid_warm_solve()
+        assert rep.details["rejected"] == 0
+        assert rep.details["h_max"] < rep.details["h0"] * 2 / STEP_FRACTION
+
+    def test_cold_separable_does_not_park_on_bound(self):
+        # criterion 8's operator, solved cold from seed 800.  With the
+        # ceiling on the bound 2 / s, no trial was rejected and the
+        # 50,000-step budget ran out at eigenvalue error 1.0e-2
+        op = SeparableGrowthOperator.standard(100)
+        rep = rneg_solve(op, rank=3, seed=800)
+        ref = krylov_reference(op, tol=1e-11)
+        assert abs(rep.eigenvalue - ref.eigenvalue) <= 1e-5
+
     def test_warm_start_at_eigenpair_converges_fast(self):
         y = np.array([1.0, 2.0, 1.0])
         pair = FactorPair(y[:, None].copy(), y[:, None].copy())
