@@ -192,15 +192,14 @@ class MarkovGridOperator(LinearMatrixOperator):
             # column-major vec: vec(A^T X B) = (B^T kron A^T) vec(X).  The
             # fold keeps the nonzeros of sum_p w_p (B_p^T kron A_p^T) as
             # (row, col, value) sorted by position, a repeated position
-            # summed in term order.  A flat index f of A is A^T's entry
-            # (f % m, f // m), and a term's Kronecker entry pairs a nonzero
-            # (bi, bj) of B^T with one (ai, aj) of A^T at
-            # (bi m + ai, bj m + aj), with value w (b a).  All terms' pairs
-            # are formed at once, term by term and B-major within a term.
-            # Distinct pairs of one term land on distinct positions, so a
-            # position's values come from different terms, and the order
-            # within a term cannot change a sum: bincount adds them in term
-            # order whatever it is
+            # summed in term order.  Flat index f of A is A^T's entry
+            # (f % m, f // m); a term pairs each nonzero (bi, bj) of B^T
+            # with each (ai, aj) of A^T, at Kronecker position
+            # (bi m + ai, bj m + aj) with value w (b a).  The pairs of all
+            # terms are formed at once, term after term.  bincount adds a
+            # position's values in that order, and distinct pairs of one
+            # term land on distinct positions, so the order of the pairs
+            # within a term cannot change any sum
             mn = m * n
             w, av, fa, bv, fb = zip(*sparse_terms)
             na = np.array([f.size for f in fa])
@@ -209,13 +208,12 @@ class MarkovGridOperator(LinearMatrixOperator):
             fb, bv = np.concatenate(fb), np.concatenate(bv)
             aj, ai = np.divmod(fa, m)
             bj, bi = np.divmod(fb, n)
-            # each B nonzero pairs with every A nonzero of its term: the
-            # pairs of B entry e are A entries start_e, start_e + 1, ..
+            # B entry e has per_b[e] pairs, from pair first[e] on; its k-th
+            # pair takes A entry a0[e] + k, a0[e] the first of its term's
             per_b = np.repeat(na, nb)
-            reps = np.cumsum(per_b)
-            start = np.repeat(np.cumsum(na) - na, nb) - (reps - per_b)
-            pa = np.arange(reps[-1] if reps.size else 0) \
-                + np.repeat(start, per_b)
+            first = np.cumsum(per_b) - per_b
+            a0 = np.repeat(np.cumsum(na) - na, nb)
+            pa = np.arange(per_b.sum()) + np.repeat(a0 - first, per_b)
             keys = (np.repeat(bi * m * mn + bj * m, per_b)
                     + (ai * mn + aj)[pa])
             vals = np.repeat(np.array(w), na * nb) \
