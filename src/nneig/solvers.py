@@ -546,9 +546,8 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     a mode at ``-s``: with no trial rejected, a cold separable-growth
     solve (n=100, rank 3, seed 800) parked there and ended its 50,000
     steps at eigenvalue error 1.0e-2, against 1.1e-6 from 0.95 of the
-    bound.  The backtracking
-    baseline is the norm at the previous accepted step, so the first
-    trial step always passes.
+    bound.  The backtracking baseline is the norm at the previous
+    accepted step, so the first trial step always passes.
 
     The projected-gradient norms are not monotone along the flow, so a
     norm-decreasing step size need not exist; insisting on one deadlocks

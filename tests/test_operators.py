@@ -275,9 +275,9 @@ def assert_plan_matches_reference(op):
 @st.composite
 def grid_terms(draw):
     """Terms of a small, possibly rectangular grid.  Factors are empty,
-    one-entry, diagonal, sparse or full, with signed entries, so some terms
-    fold and some stay dense, and folded terms share positions; weights
-    include zero and negative values."""
+    one-entry, diagonal, sparse or full, with signed entries and signed
+    zeros, so some terms fold and some stay dense, and folded terms share
+    positions; weights include zero and negative values."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -292,7 +292,8 @@ def grid_terms(draw):
         if kind == "diag":
             return np.diag(np.diag(M))
         if kind == "sparse":
-            return np.where(rng.random((size, size)) < 0.3, M, 0.0)
+            # a masked negative entry is -0.0, a zero to every scan
+            return M * (rng.random((size, size)) < 0.3)
         return M
 
     weight = st.sampled_from([0.0, -0.0, 1.0, -0.75]) | st.floats(
