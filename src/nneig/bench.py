@@ -365,8 +365,11 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
             X = compress_reference(method, svd, fit)
             dt = time.perf_counter() - t0
             dt += fit_s if method == "power+nmf" else svd_s
+            # a fit cut by its sweep budget leaves the compression unfinished
+            ok = ref.converged and (method == "power+svd"
+                                    or fit.stop != "budget")
             rows.append(evaluate_against_reference(
-                op, X, ref, method, ref.wall_time_s + dt, ref.converged))
+                op, X, ref, method, ref.wall_time_s + dt, ok))
         elif method == "psi":
             t0 = time.perf_counter()
             state = _svd_state(svd) if psi_init == "reference" else None

@@ -149,6 +149,7 @@ def _solve(args) -> int:
         t0 = time.perf_counter()
         ref = krylov_reference(op, tol=args.tol, **limit)
         X = ref.X
+        details = ref.details
         if args.method != "power":
             svd = (truncated_svd(ref.X, args.rank)
                    if args.method == "power+svd" else None)
@@ -160,8 +161,14 @@ def _solve(args) -> int:
                 raise SolverError("low-rank compression of the reference "
                                   "is zero")
             X = X / nrm
+            if fit is not None:
+                # a fit cut by its sweep budget ends the solve on "budget"
+                details = {**details, "fit_stop": fit.stop,
+                           "fit_sweeps": fit.sweeps}
+                if fit.stop == "budget":
+                    details["stop"] = "budget"
         rep = _report(args.method, op, X, t0, ref.iterations,
-                      ref.details["stop"], ref.details)
+                      details["stop"], details)
     payload = rep.to_dict()
     if args.out:
         with open(args.out, "w") as fh:

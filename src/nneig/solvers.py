@@ -66,7 +66,10 @@ class EigenReport:
     and resolved defaults of the method: ``basis``, ``restarts``,
     ``thick_restarts``, ``explicit_restarts``, ``breakdown`` (Krylov),
     ``h`` (psi), and ``h0``, ``grad`` (the final projected-gradient norm),
-    ``rejected``, ``capped``, ``h_min``, ``h_max`` (rneg).
+    ``rejected``, ``capped``, ``h_min``, ``h_max`` (rneg), and
+    ``fit_stop``, ``fit_sweeps`` (the HALS fit of ``nneig solve --method
+    power+nmf``, whose ``stop`` reads ``"budget"`` also when the fit ran
+    out of sweeps).
     """
 
     method: str

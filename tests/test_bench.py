@@ -324,6 +324,21 @@ class TestRunExperiment:
                                         seed=1, trials=2))
         assert calls == {"nmf": 2, "truncated_svd": 2}
 
+    def test_power_nmf_not_converged_when_fit_hits_budget(self, monkeypatch):
+        # power+nmf converges only if the reference did and the HALS fit
+        # stopped on its own; power+svd keeps the reference's flag
+        cfg = ExperimentConfig(kind="block-grid", n=6, rank=2, seed=1,
+                               methods=("power", "power+svd", "power+nmf"))
+
+        def flags():
+            return {r.method: r.converged for r in run_experiment(cfg)[0]}
+
+        assert flags() == {"power": 1.0, "power+svd": 1.0, "power+nmf": 1.0}
+        fit = bench.nmf
+        monkeypatch.setattr(bench, "nmf", lambda *args, **kwargs: fit(
+            *args, **{**kwargs, "n_iters": 1}))
+        assert flags() == {"power": 1.0, "power+svd": 1.0, "power+nmf": 0.0}
+
 
 class TestCLI:
     def test_generate_and_validate_stochastic(self, tmp_path):
@@ -382,12 +397,16 @@ class TestCLI:
         want = reference(load_operator(path), tol=1e-8)
         assert payload["method"] == method
         assert payload["iterations"] == want.iterations
-        # the report carries the reference's record, restart counts too
-        assert payload["details"] == want.details
-        assert payload["details"]["thick_restarts"] >= 1
-        assert (payload["details"]["thick_restarts"]
-                + payload["details"]["explicit_restarts"]
-                == payload["details"]["restarts"])
+        # the report carries the reference's record, restart counts too,
+        # and for power+nmf the HALS fit's stop and sweep count
+        details = payload["details"]
+        if method == "power+nmf":
+            assert details.pop("fit_stop") in ("stationary", "floor")
+            assert details.pop("fit_sweeps") >= 1
+        assert details == want.details
+        assert details["thick_restarts"] >= 1
+        assert (details["thick_restarts"] + details["explicit_restarts"]
+                == details["restarts"])
 
     @pytest.mark.parametrize("method", KNOWN_METHODS)
     @pytest.mark.parametrize("iters", ["0", "-1"])
@@ -469,6 +488,27 @@ class TestCLI:
         assert main(["solve", str(path), "--method", "power+nmf", "--rank",
                      "2", "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["wall_time_s"] >= 0.5
+
+    def test_solve_power_nmf_fit_on_budget_is_not_converged(self, tmp_path,
+                                                           monkeypatch):
+        # a HALS fit cut by its sweep budget ends the solve on "budget",
+        # though the reference converged
+        path = tmp_path / "op.json"
+        run_cli("generate", "--kind", "hadamard-growth", "--n", "9",
+                "--out", str(path))
+        fit = cli.nmf
+        monkeypatch.setattr(cli, "nmf", lambda *args, **kwargs: fit(
+            *args, **{**kwargs, "n_iters": 1}))
+        rep = tmp_path / "report.json"
+        assert main(["solve", str(path), "--method", "power+nmf", "--rank",
+                     "2", "--out", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["converged"] is False
+        assert payload["details"]["stop"] == "budget"
+        assert (payload["details"]["fit_stop"],
+                payload["details"]["fit_sweeps"]) == ("budget", 1)
+        want = krylov_reference(load_operator(path), tol=1e-8)
+        assert want.converged
 
     @pytest.mark.parametrize("method", ["power", "rneg"])
     @pytest.mark.parametrize("field", ["eps", "eps_r", "r0"])
