@@ -18,9 +18,10 @@ from .markovgrid import (BlockGridSpec, RandomGridSpec, generate_block_grid,
 from .operators import (HadamardGrowthOperator, LinearMatrixOperator,
                         SeparableGrowthOperator)
 from .matcore import FactorPair
-from .solvers import (EigenReport, PSIState, _check_budget, _check_int,
-                      _check_rank, _check_step, _check_tol, krylov_reference,
-                      psi_solve, rayleigh, rneg_solve)
+from .solvers import (EigenReport, PSIState, SolverError, _check_budget,
+                      _check_int, _check_rank, _check_step, _check_tol,
+                      _report, krylov_reference, psi_solve, rayleigh,
+                      rneg_solve)
 
 __all__ = [
     "KNOWN_METHODS",
@@ -29,7 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "MetricsRow",
     "build_operator",
-    "compress_reference",
+    "solve",
     "evaluate_against_reference",
     "run_experiment",
     "aggregate",
@@ -219,19 +220,60 @@ def build_operator(cfg: ExperimentConfig, trial_seed: int) -> LinearMatrixOperat
     return SeparableGrowthOperator.standard(cfg.n, **kw)
 
 
-def compress_reference(method: str, svd: SVDTriple | None,
-                       fit: NMFResult | None) -> np.ndarray:
-    """The low-rank matrix that ``power+svd`` or ``power+nmf`` makes of
-    the reference eigenmatrix: the product of ``svd``, its truncated SVD,
-    or of ``fit``, a nonnegative factorization of the clipped reference.
-
-    The matrix is returned unnormalized: its consumers normalize it, and
-    normalizing it here as well would move the last digits of their
-    results.
-    """
+def _compression(method: str, ref: EigenReport, svd: SVDTriple | None,
+                 fit: NMFResult | None) -> tuple[np.ndarray, bool]:
+    """The unnormalized low-rank matrix that ``power+svd`` (from ``svd``)
+    or ``power+nmf`` (from ``fit``, of the clipped reference) makes of the
+    reference ``ref``, and whether it converged: ``power+nmf`` also needs a
+    fit not cut by its sweep budget.  Normalizing the matrix here as well
+    as in its consumers would move the last digits of their results."""
     if method == "power+svd":
-        return svd.reconstruct()
-    return fit.W @ fit.H
+        return svd.reconstruct(), ref.converged
+    return fit.W @ fit.H, ref.converged and fit.stop != "budget"
+
+
+def solve(op: LinearMatrixOperator, method: str, rank: int, *,
+          seed: int = 0, tol: float = 1e-8, budget: int | None = None,
+          h: float | None = None, init=None) -> EigenReport:
+    """One run of ``method`` on ``op``, as ``nneig solve`` and the bench's
+    ``psi`` and ``rneg`` rows run it.
+
+    ``tol`` and ``budget`` (None: the solver's default) go to the method's
+    solver under its own keywords; ``h`` (psi's step, rneg's first step)
+    and ``init`` (their warm start) go to psi and rneg only.  ``seed``
+    seeds cold starts and the HALS fit.  The compressions report on their
+    normalized product, timed from the start of the reference, and
+    ``power+nmf`` adds its fit's ``fit_stop`` and ``fit_sweeps``.
+    """
+    if method not in KNOWN_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    key = {"psi": "max_steps", "rneg": "nmax"}.get(method, "max_iters")
+    limit = {} if budget is None else {key: budget}
+    if method == "psi":
+        return psi_solve(op, rank, h=h, tol=tol, seed=seed, init=init,
+                         **limit)
+    if method == "rneg":
+        return rneg_solve(op, rank, h0=h, tol=tol, seed=seed, init=init,
+                          **limit)
+    if method != "power":
+        _check_rank(rank, min(op.shape))
+    t0 = time.perf_counter()
+    ref = power_reference(op, tol=tol, **limit)
+    X, ok, details = ref.X, ref.converged, dict(ref.details)
+    if method != "power":
+        svd = truncated_svd(ref.X, rank) if method == "power+svd" else None
+        fit = (nmf(np.maximum(ref.X, 0.0), rank, seed=seed)
+               if method == "power+nmf" else None)
+        X, ok = _compression(method, ref, svd, fit)
+        nrm = np.linalg.norm(X)
+        if nrm == 0:
+            raise SolverError("low-rank compression of the reference is zero")
+        X = X / nrm
+        if fit is not None:
+            details.update(fit_stop=fit.stop, fit_sweeps=fit.sweeps)
+    details["stop"] = "converged" if ok else "budget"
+    return _report(method, op, X, t0, ref.iterations, details["stop"],
+                   details)
 
 
 def evaluate_against_reference(op: LinearMatrixOperator, X,
@@ -362,21 +404,17 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
                 op, ref.X, ref, "power", ref.wall_time_s, ref.converged))
         elif method in ("power+svd", "power+nmf"):
             t0 = time.perf_counter()
-            X = compress_reference(method, svd, fit)
+            X, ok = _compression(method, ref, svd, fit)
             dt = time.perf_counter() - t0
             dt += fit_s if method == "power+nmf" else svd_s
-            # a fit cut by its sweep budget leaves the compression unfinished
-            ok = ref.converged and (method == "power+svd"
-                                    or fit.stop != "budget")
             rows.append(evaluate_against_reference(
                 op, X, ref, method, ref.wall_time_s + dt, ok))
         elif method == "psi":
             t0 = time.perf_counter()
             state = _svd_state(svd) if psi_init == "reference" else None
-            steps = _psi_budget(op, cfg)
-            budget = {} if steps is None else {"max_steps": steps}
-            rep = psi_solve(op, cfg.rank, h=cfg.psi_h, tol=cfg.psi_tol,
-                            seed=trial_seed, init=state, **budget)
+            rep = solve(op, "psi", cfg.rank, seed=trial_seed,
+                        tol=cfg.psi_tol, budget=_psi_budget(op, cfg),
+                        h=cfg.psi_h, init=state)
             dt = time.perf_counter() - t0
             if state is not None:
                 dt += svd_s
@@ -386,8 +424,9 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
             t0 = time.perf_counter()
             pair = (_vertex_init(Xpos, fit)
                     if rneg_init == "reference" else None)
-            rep = rneg_solve(op, cfg.rank, h0=cfg.rneg_h0, tol=cfg.rneg_tol,
-                             nmax=cfg.rneg_nmax, seed=trial_seed, init=pair)
+            rep = solve(op, "rneg", cfg.rank, seed=trial_seed,
+                        tol=cfg.rneg_tol, budget=cfg.rneg_nmax,
+                        h=cfg.rneg_h0, init=pair)
             dt = time.perf_counter() - t0
             if pair is not None:
                 dt += fit_s
@@ -396,7 +435,7 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, verbose: bool = False):
+def run_experiment(cfg: ExperimentConfig):
     """Run all trials sequentially; returns per-trial rows.
 
     Trial ``i`` uses seed ``cfg.seed + i`` for both the operator generator
@@ -407,11 +446,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False):
     for i in range(cfg.trials):
         trial_seed = cfg.seed + i
         op = build_operator(cfg, trial_seed)
-        rows = _run_methods(op, cfg, trial_seed)
-        per_trial.append(rows)
-        if verbose:
-            got = ", ".join(f"{r.method}: relerr={r.relerr:.3e}" for r in rows)
-            print(f"trial {i}: {got}")
+        per_trial.append(_run_methods(op, cfg, trial_seed))
     return per_trial
 
 

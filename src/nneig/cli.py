@@ -14,18 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-
-import numpy as np
 
 from .bench import (KINDS, KNOWN_METHODS, ExperimentConfig, aggregate,
-                    build_operator, compress_reference, render_rows,
-                    run_experiment)
-from .lowrank import nmf, truncated_svd
+                    build_operator, render_rows, run_experiment, solve)
 from .markovgrid import demo_clustered_walk, demo_path_walk, validate_grid
 from .operators import MarkovGridOperator, load_operator, save_operator
-from .solvers import (SolverError, _check_budget, _report, krylov_reference,
-                      psi_solve, rneg_solve)
+from .solvers import SolverError, _check_budget
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=float, default=None)
     g.add_argument("--eps-r", type=float, default=None)
     g.add_argument("--r0", type=float, default=None)
-    g.add_argument("--verbose", action="store_true")
 
     v = sub.add_parser("validate", help="validate a grid operator JSON")
     v.add_argument("operator")
@@ -97,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the config seed")
     b.add_argument("--no-timing", action="store_true",
                    help="write zero timings for byte-reproducible output")
-    b.add_argument("--verbose", action="store_true")
     return p
 
 
@@ -105,7 +97,8 @@ def _generate(args) -> int:
     if args.kind in DEMO_WALKS:
         op = DEMO_WALKS[args.kind]()
     else:
-        # the bench builds the same operator; rank does not shape it
+        # the bench's factory at the library's grid defaults, not the
+        # configs' trap blocks and shared pairs; rank does not shape it
         cfg = ExperimentConfig(
             kind=args.kind, n=args.n, rank=1, delta=args.delta,
             sizes=args.sizes, block_style=args.style, t=args.t,
@@ -113,8 +106,6 @@ def _generate(args) -> int:
             eps_r=args.eps_r, r0=args.r0)
         op = build_operator(cfg, args.seed)
     save_operator(op, args.out)
-    if args.verbose:
-        print(f"wrote {args.kind} operator of shape {op.shape} to {args.out}")
     return EXIT_OK
 
 
@@ -133,42 +124,10 @@ def _validate(args) -> int:
 
 
 def _solve(args) -> int:
-    op = load_operator(args.operator)
-    # unset, each solver runs to its own default budget
-    key = {"psi": "max_steps", "rneg": "nmax"}.get(args.method, "max_iters")
-    limit = {} if args.max_iters is None else {key: args.max_iters}
-    if args.method == "psi":
-        rep = psi_solve(op, args.rank, h=args.h0, tol=args.tol,
-                        seed=args.seed, **limit)
-    elif args.method == "rneg":
-        rep = rneg_solve(op, args.rank, h0=args.h0, tol=args.tol,
-                         seed=args.seed, **limit)
-    else:
-        # the reference and its compressions, as the bench computes them,
-        # timed from the start of the reference to the end of the fit
-        t0 = time.perf_counter()
-        ref = krylov_reference(op, tol=args.tol, **limit)
-        X = ref.X
-        details = ref.details
-        if args.method != "power":
-            svd = (truncated_svd(ref.X, args.rank)
-                   if args.method == "power+svd" else None)
-            fit = (nmf(np.maximum(ref.X, 0.0), args.rank, seed=args.seed)
-                   if args.method == "power+nmf" else None)
-            X = compress_reference(args.method, svd, fit)
-            nrm = np.linalg.norm(X)
-            if nrm == 0:
-                raise SolverError("low-rank compression of the reference "
-                                  "is zero")
-            X = X / nrm
-            if fit is not None:
-                # a fit cut by its sweep budget ends the solve on "budget"
-                details = {**details, "fit_stop": fit.stop,
-                           "fit_sweeps": fit.sweeps}
-                if fit.stop == "budget":
-                    details["stop"] = "budget"
-        rep = _report(args.method, op, X, t0, ref.iterations,
-                      details["stop"], details)
+    # one cold run of the bench's dispatch
+    rep = solve(load_operator(args.operator), args.method, args.rank,
+                seed=args.seed, tol=args.tol, budget=args.max_iters,
+                h=args.h0)
     payload = rep.to_dict()
     if args.out:
         with open(args.out, "w") as fh:
@@ -185,7 +144,7 @@ def _bench(args) -> int:
         cfg = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
         cfg.seed = args.seed
-    per_trial = run_experiment(cfg, verbose=args.verbose)
+    per_trial = run_experiment(cfg)
     rows = aggregate(per_trial)
     out = render_rows(rows, fmt=args.format,
                       include_timing=not args.no_timing)

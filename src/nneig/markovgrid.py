@@ -249,21 +249,21 @@ def validate_grid(op: MarkovGridOperator, atol: float = 1e-12) -> GridValidation
     weights = np.array([w for w, _, _ in op.terms])
     if np.any(weights < -atol):
         bad = int(np.argmin(weights))
-        failures.append(f"term {bad}: negative weight {weights[bad]!r}")
+        failures.append(f"term {bad}: negative weight {float(weights[bad])}")
     if abs(weights.sum() - 1.0) > atol:
-        failures.append(f"weights sum to {weights.sum()!r} (expected 1)")
+        failures.append(f"weights sum to {float(weights.sum())} (expected 1)")
     for k, (_, A, B) in enumerate(op.terms):
         for label, M in (("A", A), ("B", B)):
             if np.any(M < 0):
                 i, j = np.unravel_index(int(np.argmin(M)), M.shape)
-                failures.append(
-                    f"term {k}: {label}[{i},{j}] = {M[i, j]!r} is negative")
+                failures.append(f"term {k}: {label}[{i},{j}] = "
+                                f"{float(M[i, j])} is negative")
             rows = M.sum(axis=1)
             bad_rows = np.where(np.abs(rows - 1.0) > atol)[0]
             if bad_rows.size:
                 i = int(bad_rows[0])
                 failures.append(
-                    f"term {k}: {label} row {i} sums to {rows[i]!r} "
+                    f"term {k}: {label} row {i} sums to {float(rows[i])} "
                     f"(expected 1; {bad_rows.size} rows affected)")
     return GridValidationReport(ok=not failures, failures=failures)
 

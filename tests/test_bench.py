@@ -408,6 +408,53 @@ class TestCLI:
         assert (details["thick_restarts"] + details["explicit_restarts"]
                 == details["restarts"])
 
+    def test_solve_runs_the_bench_dispatch(self, tmp_path, monkeypatch):
+        # nneig solve reaches every method through the names the bench
+        # calls and perfbench/tracing.py swaps, hands --max-iters to each
+        # solver under its own budget keyword, and starts psi and rneg cold
+        path = tmp_path / "op.json"
+        save_operator(HadamardGrowthOperator.standard(9), path)
+        calls = {}
+
+        def recorder(name, fn):
+            def recorded(*args, **kwargs):
+                calls.setdefault(name, []).append(kwargs)
+                return fn(*args, **kwargs)
+            return recorded
+
+        for name in ("power_reference", "psi_solve", "rneg_solve", "nmf",
+                     "truncated_svd"):
+            monkeypatch.setattr(bench, name,
+                                recorder(name, getattr(bench, name)))
+        for method in KNOWN_METHODS:
+            assert main(["solve", str(path), "--method", method, "--rank",
+                         "2", "--seed", "4", "--max-iters", "40"]) == 0
+        assert calls["power_reference"] == [{"tol": 1e-8,
+                                             "max_iters": 40}] * 3
+        assert calls["truncated_svd"] == [{}]
+        assert calls["nmf"] == [{"seed": 4}]
+        assert calls["psi_solve"] == [{"h": None, "tol": 1e-8, "seed": 4,
+                                       "init": None, "max_steps": 40}]
+        assert calls["rneg_solve"] == [{"h0": None, "tol": 1e-8, "seed": 4,
+                                        "init": None, "nmax": 40}]
+
+    @pytest.mark.parametrize("method", ["power+svd", "power+nmf"])
+    def test_solve_compression_rank_checked_before_the_reference(
+            self, tmp_path, monkeypatch, capsys, method):
+        # a rank the compression cannot have fails before the reference
+        # spends its budget
+        path = tmp_path / "op.json"
+        op = demo_path_walk()
+        save_operator(op, path)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(type(op), "apply_full", unreachable)
+        assert main(["solve", str(path), "--method", method,
+                     "--rank", "9"]) == cli.EXIT_CONFIG
+        assert "rank must lie in [1, 3]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", KNOWN_METHODS)
     @pytest.mark.parametrize("iters", ["0", "-1"])
     def test_solve_max_iters_below_one_is_config_error(self, tmp_path,
@@ -477,13 +524,13 @@ class TestCLI:
         path = tmp_path / "op.json"
         run_cli("generate", "--kind", "hadamard-growth", "--n", "9",
                 "--out", str(path))
-        fit = cli.nmf
+        fit = bench.nmf
 
         def slow_nmf(*args, **kwargs):
             time.sleep(0.5)
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "nmf", slow_nmf)
+        monkeypatch.setattr(bench, "nmf", slow_nmf)
         rep = tmp_path / "report.json"
         assert main(["solve", str(path), "--method", "power+nmf", "--rank",
                      "2", "--out", str(rep)]) == 0
@@ -496,8 +543,8 @@ class TestCLI:
         path = tmp_path / "op.json"
         run_cli("generate", "--kind", "hadamard-growth", "--n", "9",
                 "--out", str(path))
-        fit = cli.nmf
-        monkeypatch.setattr(cli, "nmf", lambda *args, **kwargs: fit(
+        fit = bench.nmf
+        monkeypatch.setattr(bench, "nmf", lambda *args, **kwargs: fit(
             *args, **{**kwargs, "n_iters": 1}))
         rep = tmp_path / "report.json"
         assert main(["solve", str(path), "--method", "power+nmf", "--rank",

@@ -230,6 +230,18 @@ class TestValidateGrid:
         assert not report.ok
         assert any("negative" in f for f in report.failures)
 
+    def test_failures_print_plain_floats(self):
+        # each failure names its number as Python prints a float, not as
+        # a numpy scalar repr such as np.float64(0.5)
+        A = np.array([[-1.0, 2.0], [0.0, 0.5]])
+        op = MarkovGridOperator([(1.5, A, np.eye(2)),
+                                 (-0.25, np.eye(2), np.eye(2))])
+        failures = validate_grid(op).failures
+        assert not any("np.float64" in f for f in failures)
+        for want in ("negative weight -0.25", "sum to 1.25",
+                     "A[0,0] = -1.0 is", "A row 1 sums to 0.5 "):
+            assert any(want in f for f in failures), want
+
     def test_bool_protocol(self):
         op = demo_path_walk()
         assert bool(validate_grid(op))
