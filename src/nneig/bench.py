@@ -13,8 +13,7 @@ import numpy as np
 
 from .lowrank import (NMFResult, SVDTriple, best_scaled_error, nmf,
                       truncated_svd)
-from .markovgrid import (BlockGridSpec, RandomGridSpec, generate_block_grid,
-                         generate_random_grid)
+from .markovgrid import generate_block_grid, generate_random_grid
 from .operators import (HadamardGrowthOperator, LinearMatrixOperator,
                         SeparableGrowthOperator)
 from .matcore import FactorPair
@@ -77,8 +76,10 @@ class ExperimentConfig:
     """Declarative description of a benchmark run.
 
     ``kind`` selects the operator family, one of :data:`KINDS`.  Fields
-    that do not apply to the chosen kind are ignored.  ``None`` solver
-    knobs resolve to family defaults at run time.  Trial ``i`` derives its
+    that do not apply to the chosen kind are ignored.  A family parameter
+    or budget left ``None`` takes the default of the function it goes to:
+    the grid generator, the growth family's ``.standard()``, or the
+    solver.  The tolerances are required numbers.  Trial ``i`` derives its
     generation and solver seeds from ``seed + i`` (PCG64), so a config
     JSON pins the whole run.  ``rank`` must lie in ``[1, size]`` for the
     operator size: ``sum(sizes)`` on a block grid with ``sizes``, else
@@ -99,22 +100,22 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     methods: tuple = KNOWN_METHODS
-    # grid parameters
-    delta: float = 0.2
+    # family parameters (None = the generator's or .standard()'s default)
+    delta: float | None = None
     sizes: tuple | None = None       # block grid; default: n blocks of size 1
-    block_style: str = "trap"
-    t: int = 3
-    density: float = 0.9
-    family: str = "shared-pair"
-    # growth-diffusion parameters (None = family default)
+    block_style: str | None = None
+    t: int | None = None
+    density: float | None = None
+    family: str | None = None
     eps: float | None = None
     eps_r: float | None = None
     r0: float | None = None
-    # solver knobs (None = solver/family default)
+    # solver knobs (None = the solver's default, or the family's where
+    # noted)
     # the reference must out-resolve the tightest method gate, or accurate
     # methods get charged for the reference's own error
     power_tol: float = 1e-11
-    power_iters: int = 500_000
+    power_iters: int | None = None
     power_damping: float = 0.5
     # rneg_h0 is only the initial step of the sign-constrained flow (None
     # = the operator's default step, 0.4 / s for the reach s of its
@@ -126,7 +127,7 @@ class ExperimentConfig:
     # at 2.5e-8 on probabilistic grids.
     rneg_h0: float | None = None
     rneg_tol: float = 1e-8
-    rneg_nmax: int = 50_000
+    rneg_nmax: int | None = None
     psi_h: float | None = None
     # the splitting integrator stops on per-step motion below tol*h, which
     # floors its error about a decade above tol on well-gapped operators;
@@ -201,20 +202,22 @@ class ExperimentConfig:
         return cls(**d)
 
 
+def _set(**kw) -> dict:
+    """The keywords of ``kw`` that are set: a ``None`` leaves the callee
+    its own default."""
+    return {k: v for k, v in kw.items() if v is not None}
+
+
 def build_operator(cfg: ExperimentConfig, trial_seed: int) -> LinearMatrixOperator:
     """Instantiate the operator of one trial."""
     if cfg.kind == "block-grid":
         sizes = cfg.sizes if cfg.sizes is not None else (1,) * cfg.n
-        return generate_block_grid(BlockGridSpec(
-            sizes=sizes, delta=cfg.delta, seed=trial_seed,
-            style=cfg.block_style))
+        return generate_block_grid(sizes, seed=trial_seed, **_set(
+            delta=cfg.delta, style=cfg.block_style))
     if cfg.kind == "random-grid":
-        return generate_random_grid(RandomGridSpec(
-            n=cfg.n, t=cfg.t, density=cfg.density, seed=trial_seed,
-            family=cfg.family))
-    kw = {k: v for k, v in
-          (("r0", cfg.r0), ("eps", cfg.eps), ("eps_r", cfg.eps_r))
-          if v is not None}
+        return generate_random_grid(cfg.n, seed=trial_seed, **_set(
+            t=cfg.t, density=cfg.density, family=cfg.family))
+    kw = _set(r0=cfg.r0, eps=cfg.eps, eps_r=cfg.eps_r)
     if cfg.kind == "hadamard-growth":
         return HadamardGrowthOperator.standard(cfg.n, **kw)
     return SeparableGrowthOperator.standard(cfg.n, **kw)
@@ -233,7 +236,8 @@ def _compression(method: str, ref: EigenReport, svd: SVDTriple | None,
 
 
 def solve(op: LinearMatrixOperator, method: str, rank: int, *,
-          seed: int = 0, tol: float = 1e-8, budget: int | None = None,
+          seed: int = 0, tol: float | None = None,
+          budget: int | None = None,
           h: float | None = None, init=None) -> EigenReport:
     """One run of ``method`` on ``op``, as ``nneig solve`` and the bench's
     ``psi`` and ``rneg`` rows run it.
@@ -248,17 +252,15 @@ def solve(op: LinearMatrixOperator, method: str, rank: int, *,
     if method not in KNOWN_METHODS:
         raise ValueError(f"unknown method {method!r}")
     key = {"psi": "max_steps", "rneg": "nmax"}.get(method, "max_iters")
-    limit = {} if budget is None else {key: budget}
+    kw = _set(tol=tol, **{key: budget})
     if method == "psi":
-        return psi_solve(op, rank, h=h, tol=tol, seed=seed, init=init,
-                         **limit)
+        return psi_solve(op, rank, h=h, seed=seed, init=init, **kw)
     if method == "rneg":
-        return rneg_solve(op, rank, h0=h, tol=tol, seed=seed, init=init,
-                          **limit)
+        return rneg_solve(op, rank, h0=h, seed=seed, init=init, **kw)
     if method != "power":
         _check_rank(rank, min(op.shape))
     t0 = time.perf_counter()
-    ref = power_reference(op, tol=tol, **limit)
+    ref = power_reference(op, **kw)
     X, ok, details = ref.X, ref.converged, dict(ref.details)
     if method != "power":
         svd = truncated_svd(ref.X, rank) if method == "power+svd" else None
@@ -375,7 +377,8 @@ def _psi_budget(op: LinearMatrixOperator, cfg: ExperimentConfig) -> int | None:
 
 def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
                  trial_seed: int) -> list[MetricsRow]:
-    ref = power_reference(op, tol=cfg.power_tol, max_iters=cfg.power_iters)
+    ref = power_reference(op, tol=cfg.power_tol,
+                          **_set(max_iters=cfg.power_iters))
     if cfg.ode_init == "auto":
         rneg_init = "reference" if cfg.kind == "block-grid" else "random"
         psi_init = "random" if cfg.kind == "random-grid" else "reference"

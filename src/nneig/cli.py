@@ -46,18 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=50)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--delta", type=float, default=0.2)
-    g.add_argument("--sizes", type=int, nargs="+", default=None,
+    # family flags left unset take the generator's or .standard()'s default
+    g.add_argument("--delta", type=float)
+    g.add_argument("--sizes", type=int, nargs="+",
                    help="block sizes (default: n blocks of size one)")
-    g.add_argument("--style", choices=("stochastic", "trap"),
-                   default="stochastic")
-    g.add_argument("--t", type=int, default=3)
-    g.add_argument("--density", type=float, default=0.9)
-    g.add_argument("--family", choices=("independent", "shared-pair"),
-                   default="independent")
-    g.add_argument("--eps", type=float, default=None)
-    g.add_argument("--eps-r", type=float, default=None)
-    g.add_argument("--r0", type=float, default=None)
+    g.add_argument("--style", choices=("stochastic", "trap"))
+    g.add_argument("--t", type=int)
+    g.add_argument("--density", type=float)
+    g.add_argument("--family", choices=("independent", "shared-pair"))
+    g.add_argument("--eps", type=float)
+    g.add_argument("--eps-r", type=float)
+    g.add_argument("--r0", type=float)
 
     v = sub.add_parser("validate", help="validate a grid operator JSON")
     v.add_argument("operator")
@@ -67,8 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True, choices=KNOWN_METHODS)
     s.add_argument("--rank", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tol", type=float, default=1e-8,
-                   help="stop tolerance: the reference residual "
+    s.add_argument("--tol", type=float,
+                   help="stop tolerance (default: the solver's own): "
+                        "the reference residual "
                         "||A(X) - lam X||_F for power, power+svd and "
                         "power+nmf; the step motion ||X_k+1 - X_k||_F / h "
                         "for psi; the projected-gradient norm times the "
@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: the operator's default step 0.4 / s, "
                         "where s is the 1-norm of the vectorized operator "
                         "on Markov grids, so 0.4 on probabilistic ones, "
-                        "and default_shift on growth operators)")
+                        "and the largest growth rate plus twice the "
+                        "stiffest diffusion rate on growth operators)")
     s.add_argument("--out", default=None, help="report JSON path")
 
     b = sub.add_parser("bench", help="run a benchmark experiment config")
@@ -97,8 +98,7 @@ def _generate(args) -> int:
     if args.kind in DEMO_WALKS:
         op = DEMO_WALKS[args.kind]()
     else:
-        # the bench's factory at the library's grid defaults, not the
-        # configs' trap blocks and shared pairs; rank does not shape it
+        # the bench's factory; rank does not shape it
         cfg = ExperimentConfig(
             kind=args.kind, n=args.n, rank=1, delta=args.delta,
             sizes=args.sizes, block_style=args.style, t=args.t,

@@ -1,7 +1,8 @@
 """Generators and validators for synthetic Markov grid operators.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64;
-generation is deterministic given the spec, and every spec carries its seed.
+generation is deterministic given a generator's arguments, its seed among
+them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import numpy as np
 from .operators import MarkovGridOperator
 
 __all__ = [
-    "BlockGridSpec",
-    "RandomGridSpec",
     "GridValidationReport",
     "dirichlet_row",
     "dirichlet_stochastic",
@@ -62,12 +61,13 @@ def sparse_random_stochastic(rng: np.random.Generator, n: int,
     return M
 
 
-@dataclass
-class BlockGridSpec:
-    """Specification of a block-structured grid.
+def generate_block_grid(sizes, *, delta: float = 0.2, seed: int = 0,
+                        style: str = "stochastic") -> MarkovGridOperator:
+    """Block-structured grid of size ``sum(sizes)``, deterministic given
+    its arguments.
 
     Args:
-        sizes: block sizes; the grid has size ``sum(sizes)``.
+        sizes: block sizes, positive integers.
         delta: weight of the dense fully-connected term, in (0, 1].
         seed: generator seed (PCG64).
         style: ``"stochastic"`` or ``"trap"``.
@@ -83,29 +83,51 @@ class BlockGridSpec:
     matrix concentrates near the diagonal, which is the regime where
     truncated low-rank approximations go negative.
     """
+    sizes = tuple(int(s) for s in sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("block sizes must be positive integers")
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
+    if style not in ("stochastic", "trap"):
+        raise ValueError(f"unknown style {style!r}")
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    t = len(sizes)
+    offsets = np.cumsum((0,) + sizes)
+    if style == "stochastic":
+        w = (1.0 - delta) * dirichlet_row(rng, t) if delta < 1 \
+            else np.zeros(t)
+    else:
+        w = np.full(t, 1.0 - delta)
+    terms = []
+    for i in range(t):
+        lo, hi = offsets[i], offsets[i + 1]
+        if style == "stochastic":
+            A, B = np.eye(n), np.eye(n)
+        else:
+            A, B = np.zeros((n, n)), np.zeros((n, n))
+        A[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
+        B[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
+        terms.append((w[i], A, B))
+    if style == "stochastic":
+        dense_A = dirichlet_stochastic(rng, n)
+        dense_B = dirichlet_stochastic(rng, n)
+    else:
+        # trap style pairs the absorbing blocks with a uniform
+        # fully-connected escape term, the teleportation completion; the
+        # blocks then re-feed at equal rates and the stationary matrix
+        # spreads its mass evenly across them
+        dense_A = np.full((n, n), 1.0 / n)
+        dense_B = np.full((n, n), 1.0 / n)
+    terms.append((delta, dense_A, dense_B))
+    return MarkovGridOperator(terms)
 
-    sizes: tuple
-    delta: float
-    seed: int = 0
-    style: str = "stochastic"
 
-    def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError("block sizes must be positive integers")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.style not in ("stochastic", "trap"):
-            raise ValueError(f"unknown style {self.style!r}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-
-@dataclass
-class RandomGridSpec:
-    """Specification of an unstructured random grid.
+def generate_random_grid(n: int, *, t: int = 3, density: float = 0.9,
+                         seed: int = 0,
+                         family: str = "independent") -> MarkovGridOperator:
+    """Unstructured random grid of size ``n``, deterministic given its
+    arguments.
 
     Args:
         n: grid size.
@@ -118,73 +140,26 @@ class RandomGridSpec:
             stationary matrix is exactly rank one (the outer product of the
             two stationary vectors).
     """
-
-    n: int
-    t: int = 3
-    density: float = 0.9
-    seed: int = 0
-    family: str = "independent"
-
-    def __post_init__(self):
-        if self.n < 1 or self.t < 1:
-            raise ValueError("n and t must be positive")
-        if not 0 < self.density <= 1:
-            raise ValueError("density must lie in (0, 1]")
-        if self.family not in ("independent", "shared-pair"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "shared-pair" and self.t != 3:
-            raise ValueError("the shared-pair family always has t = 3 terms")
-
-
-def generate_block_grid(spec: BlockGridSpec) -> MarkovGridOperator:
-    """Build the block grid described by ``spec``. Deterministic given the spec."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n
-    t = len(spec.sizes)
-    offsets = np.cumsum((0,) + spec.sizes)
-    if spec.style == "stochastic":
-        w = (1.0 - spec.delta) * dirichlet_row(rng, t) if spec.delta < 1 \
-            else np.zeros(t)
-    else:
-        w = np.full(t, 1.0 - spec.delta)
-    terms = []
-    for i in range(t):
-        lo, hi = offsets[i], offsets[i + 1]
-        if spec.style == "stochastic":
-            A, B = np.eye(n), np.eye(n)
-        else:
-            A, B = np.zeros((n, n)), np.zeros((n, n))
-        A[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
-        B[lo:hi, lo:hi] = dirichlet_stochastic(rng, hi - lo)
-        terms.append((w[i], A, B))
-    if spec.style == "stochastic":
-        dense_A = dirichlet_stochastic(rng, n)
-        dense_B = dirichlet_stochastic(rng, n)
-    else:
-        # trap style pairs the absorbing blocks with a uniform
-        # fully-connected escape term, the teleportation completion; the
-        # blocks then re-feed at equal rates and the stationary matrix
-        # spreads its mass evenly across them
-        dense_A = np.full((n, n), 1.0 / n)
-        dense_B = np.full((n, n), 1.0 / n)
-    terms.append((spec.delta, dense_A, dense_B))
-    return MarkovGridOperator(terms)
-
-
-def generate_random_grid(spec: RandomGridSpec) -> MarkovGridOperator:
-    """Build the random grid described by ``spec``. Deterministic given the spec."""
-    rng = np.random.default_rng(spec.seed)
-    w = dirichlet_row(rng, spec.t)
-    if spec.family == "independent":
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be positive")
+    if not 0 < density <= 1:
+        raise ValueError("density must lie in (0, 1]")
+    if family not in ("independent", "shared-pair"):
+        raise ValueError(f"unknown family {family!r}")
+    if family == "shared-pair" and t != 3:
+        raise ValueError("the shared-pair family always has t = 3 terms")
+    rng = np.random.default_rng(seed)
+    w = dirichlet_row(rng, t)
+    if family == "independent":
         terms = [
-            (w[p], sparse_random_stochastic(rng, spec.n, spec.density),
-             sparse_random_stochastic(rng, spec.n, spec.density))
-            for p in range(spec.t)
+            (w[p], sparse_random_stochastic(rng, n, density),
+             sparse_random_stochastic(rng, n, density))
+            for p in range(t)
         ]
     else:
-        A = sparse_random_stochastic(rng, spec.n, spec.density)
-        B = sparse_random_stochastic(rng, spec.n, spec.density)
-        eye = np.eye(spec.n)
+        A = sparse_random_stochastic(rng, n, density)
+        B = sparse_random_stochastic(rng, n, density)
+        eye = np.eye(n)
         terms = [(w[0], A, eye), (w[1], eye, B), (w[2], A, B)]
     return MarkovGridOperator(terms)
 

@@ -111,10 +111,6 @@ class LinearMatrixOperator:
         s = self._reach()
         return STEP_FRACTION / s if s > 0 else math.inf
 
-    def default_shift(self) -> float:
-        """Spectral shift making ``A + shift*I`` nonnegativity-preserving."""
-        raise NotImplementedError
-
 
 class MarkovGridOperator(LinearMatrixOperator):
     """Weighted sum of two-sided transition maps.
@@ -292,9 +288,6 @@ class MarkovGridOperator(LinearMatrixOperator):
         # whose spectrum lies in the unit disc
         return self._norm1
 
-    def default_shift(self) -> float:
-        return 0.0
-
 
 def neumann_laplacian(n: int) -> np.ndarray:
     """Second-difference matrix on ``n`` points of [0, 1] with reflecting ends.
@@ -420,14 +413,12 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
             self._form = FactorForm(q + 2, left, right)
         return self._form
 
-    def default_shift(self) -> float:
+    def _reach(self) -> float:
+        # the largest growth rate plus the stiff diffusion term, the shift
+        # that makes A + s I nonnegativity-preserving; the diffusion sets
+        # the explicit bound of the flow on the factors, about 2 / s
         return (self.g * float(np.abs(self.G).max())
                 + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
-
-    def _reach(self) -> float:
-        # the stiff diffusion term sets the explicit bound of the flow on
-        # the factors, about 2 / shift
-        return self.default_shift()
 
 
 class HadamardGrowthOperator(_GrowthDiffusionOperator):

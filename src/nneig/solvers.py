@@ -24,6 +24,7 @@ differently.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -158,6 +159,8 @@ def _report(method: str, op: LinearMatrixOperator, X: np.ndarray, t0: float,
 
 # input checks shared by the solvers and the bench config
 def _check_tol(tol: float, name: str = "tol") -> None:
+    if not isinstance(tol, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {tol!r}")
     # a NaN or negative tolerance is never met, an infinite one always
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite and nonnegative, got {tol}")

@@ -16,7 +16,6 @@ import pytest
 from nneig.bench import ExperimentConfig, run_experiment
 from nneig.lowrank import best_scaled_error, nmf, truncated_svd
 from nneig.markovgrid import (
-    RandomGridSpec,
     demo_clustered_walk,
     demo_path_walk,
     generate_random_grid,
@@ -124,8 +123,7 @@ def test_criterion_05_rank_one_family_suite():
     worst_fp = 0.0
     worst_err = 0.0
     for seed in range(50):
-        op = generate_random_grid(RandomGridSpec(n=8, family="shared-pair",
-                                                 seed=seed))
+        op = generate_random_grid(8, family="shared-pair", seed=seed)
         A = op.terms[0][1]
         B = op.terms[1][2]
         _, _, Xstar = rank_one_stationary(A, B)
@@ -269,7 +267,7 @@ def test_criterion_10_invariant_suite():
 
     # factored apply agrees with the full apply
     ops = [demo_clustered_walk(),
-           generate_random_grid(RandomGridSpec(n=7, seed=1)),
+           generate_random_grid(7, seed=1),
            SeparableGrowthOperator.standard(9)]
     for o in ops:
         m, n = o.shape
@@ -306,9 +304,8 @@ def test_criterion_11_factored_apply_scaling():
     """Doubling n multiplies the factored apply cost by <= 5."""
     cases = {}
     for n in (200, 400):
-        op = generate_random_grid(RandomGridSpec(n=n, t=3, density=0.9,
-                                                 seed=0,
-                                                 family="independent"))
+        op = generate_random_grid(n, t=3, density=0.9, seed=0,
+                                  family="independent")
         rng = np.random.default_rng(1)
         U = rng.random((n, 5))
         V = rng.random((n, 5))

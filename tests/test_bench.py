@@ -32,7 +32,8 @@ from nneig.bench import (
     render_rows,
     run_experiment,
 )
-from nneig.markovgrid import demo_path_walk
+from nneig.markovgrid import (demo_path_walk, generate_block_grid,
+                              generate_random_grid)
 from nneig.operators import (HadamardGrowthOperator, load_operator,
                              save_operator)
 from nneig.solvers import krylov_reference
@@ -53,7 +54,8 @@ def run_cli(*args, cwd=None, timeout=None):
 
 def tiny_config(**over):
     base = dict(kind="random-grid", n=6, rank=1, trials=2, seed=3,
-                methods=("power", "power+svd", "rneg"), density=0.9)
+                methods=("power", "power+svd", "rneg"), density=0.9,
+                family="shared-pair")
     base.update(over)
     return ExperimentConfig(**base)
 
@@ -96,6 +98,9 @@ class TestExperimentConfig:
         ("rank", 2.0), ("rank", True), ("trials", 1.5),
         ("n", 4.0), ("seed", 0.5), ("sizes", "55"), ("sizes", [5.7, 4.2]),
         ("methods", "rneg"),
+        # a tolerance is a required number: null is no default for it
+        ("power_tol", None), ("psi_tol", None), ("rneg_tol", None),
+        ("power_tol", "1e-11"), ("psi_tol", "tight"), ("rneg_tol", "1e-8"),
     ])
     def test_bad_solver_knob_rejected(self, name, value):
         # the field is checked at load, as the solver would check it, and
@@ -260,7 +265,8 @@ class TestRunExperiment:
             (ROOT / "configs" / "hadamard-growth.json").read_text())
         op = build_operator(cfg, cfg.seed)
         assert bench._psi_budget(op, cfg) == 30_000
-        cold = ExperimentConfig(kind="random-grid", n=6, rank=1)
+        cold = ExperimentConfig(kind="random-grid", n=6, rank=1,
+                                family="shared-pair")
         assert bench._psi_budget(build_operator(cold, 0), cold) is None
 
     def test_dispatch_calls_module_names(self, monkeypatch):
@@ -287,7 +293,7 @@ class TestRunExperiment:
                 standard=recorder(name, standard)))
         # block grids warm-start both integrators from the reference
         cfgs = [ExperimentConfig(kind="block-grid", n=6, rank=2, seed=1,
-                                 power_tol=1e-12)]
+                                 block_style="trap", power_tol=1e-12)]
         cfgs += [ExperimentConfig(kind=kind, n=6, rank=1, methods=("power",),
                                   power_iters=300)
                  for kind in ("hadamard-growth", "separable-growth")]
@@ -298,10 +304,11 @@ class TestRunExperiment:
             "nmf", "truncated_svd", "evaluate_against_reference",
             "generate_block_grid", "HadamardGrowthOperator",
             "SeparableGrowthOperator"}
-        # one reference per trial, with the config's tolerance and budget
+        # one reference per trial, with the config's tolerance, and its
+        # budget where the config sets one
         assert calls["power_reference"] == [
-            {"tol": cfg.power_tol, "max_iters": cfg.power_iters}
-            for cfg in cfgs]
+            {"tol": 1e-12}, {"tol": 1e-11, "max_iters": 300},
+            {"tol": 1e-11, "max_iters": 300}]
         assert len(calls["evaluate_against_reference"]) == 7
         for name in ("psi_solve", "rneg_solve"):
             assert [kw.get("init") is not None for kw in calls[name]] == [True]
@@ -321,13 +328,14 @@ class TestRunExperiment:
             monkeypatch.setattr(bench, name, counted(name, getattr(bench,
                                                                    name)))
         run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2,
-                                        seed=1, trials=2))
+                                        seed=1, trials=2, block_style="trap"))
         assert calls == {"nmf": 2, "truncated_svd": 2}
 
     def test_power_nmf_not_converged_when_fit_hits_budget(self, monkeypatch):
         # power+nmf converges only if the reference did and the HALS fit
         # stopped on its own; power+svd keeps the reference's flag
         cfg = ExperimentConfig(kind="block-grid", n=6, rank=2, seed=1,
+                               block_style="trap",
                                methods=("power", "power+svd", "power+nmf"))
 
         def flags():
@@ -394,7 +402,7 @@ class TestCLI:
                       "--out", str(rep))
         assert out.returncode == 0
         payload = json.loads(rep.read_text())
-        want = reference(load_operator(path), tol=1e-8)
+        want = reference(load_operator(path))
         assert payload["method"] == method
         assert payload["iterations"] == want.iterations
         # the report carries the reference's record, restart counts too,
@@ -411,7 +419,8 @@ class TestCLI:
     def test_solve_runs_the_bench_dispatch(self, tmp_path, monkeypatch):
         # nneig solve reaches every method through the names the bench
         # calls and perfbench/tracing.py swaps, hands --max-iters to each
-        # solver under its own budget keyword, and starts psi and rneg cold
+        # solver under its own budget keyword, leaves each solver its own
+        # tolerance when --tol is unset, and starts psi and rneg cold
         path = tmp_path / "op.json"
         save_operator(HadamardGrowthOperator.standard(9), path)
         calls = {}
@@ -429,14 +438,13 @@ class TestCLI:
         for method in KNOWN_METHODS:
             assert main(["solve", str(path), "--method", method, "--rank",
                          "2", "--seed", "4", "--max-iters", "40"]) == 0
-        assert calls["power_reference"] == [{"tol": 1e-8,
-                                             "max_iters": 40}] * 3
+        assert calls["power_reference"] == [{"max_iters": 40}] * 3
         assert calls["truncated_svd"] == [{}]
         assert calls["nmf"] == [{"seed": 4}]
-        assert calls["psi_solve"] == [{"h": None, "tol": 1e-8, "seed": 4,
-                                       "init": None, "max_steps": 40}]
-        assert calls["rneg_solve"] == [{"h0": None, "tol": 1e-8, "seed": 4,
-                                        "init": None, "nmax": 40}]
+        assert calls["psi_solve"] == [{"h": None, "seed": 4, "init": None,
+                                       "max_steps": 40}]
+        assert calls["rneg_solve"] == [{"h0": None, "seed": 4, "init": None,
+                                        "nmax": 40}]
 
     @pytest.mark.parametrize("method", ["power+svd", "power+nmf"])
     def test_solve_compression_rank_checked_before_the_reference(
@@ -650,7 +658,8 @@ class TestCLI:
 
     def test_block_grid_sizes_ignore_n(self, tmp_path):
         # the sizes shape a block grid, not n
-        cfg = ExperimentConfig(kind="block-grid", n=0, rank=5, sizes=[2, 3])
+        cfg = ExperimentConfig(kind="block-grid", n=0, rank=5, sizes=[2, 3],
+                               block_style="trap")
         assert build_operator(cfg, 0).shape == (5, 5)
         path = tmp_path / "op.json"
         assert main(["generate", "--kind", "block-grid", "--n", "0",
@@ -670,9 +679,16 @@ class TestCLI:
         {"rank": 2.0},
         {"rank": True},
         {"methods": "rneg"},
+        {"power_tol": None},
+        {"psi_tol": None},
+        {"rneg_tol": None},
+        {"power_tol": "1e-11"},
+        {"rneg_tol": "1e-8"},
     ], ids=["budgets", "nan-tol", "no-methods", "rank-0", "rank-above-n",
             "sizes-string", "sizes-float", "nmax-float", "psi-steps-float",
-            "rank-float", "rank-bool", "methods-string"])
+            "rank-float", "rank-bool", "methods-string", "power-tol-null",
+            "psi-tol-null", "rneg-tol-null", "power-tol-string",
+            "rneg-tol-string"])
     def test_bench_bad_solver_knob_fails_before_any_trial(
             self, tmp_path, monkeypatch, knobs):
         # a knob no solver accepts is a config error before any trial
@@ -685,6 +701,47 @@ class TestCLI:
             {"kind": "random-grid", "n": 6, "rank": 1, **knobs}))
         assert main(["bench", str(cfg_path)]) == 1
         assert built == []
+
+    @pytest.mark.parametrize("kind,field", [
+        ("block-grid", "delta"), ("block-grid", "block_style"),
+        ("random-grid", "t"), ("random-grid", "density"),
+        ("random-grid", "family"), ("hadamard-growth", "eps"),
+        ("hadamard-growth", "eps_r"), ("separable-growth", "r0"),
+        ("block-grid", "power_iters"), ("random-grid", "power_iters"),
+        ("block-grid", "rneg_nmax"), ("random-grid", "rneg_nmax"),
+    ])
+    def test_null_field_runs_the_default(self, tmp_path, kind, field):
+        # a null family parameter or budget is the field left out: the
+        # same operator, byte for byte, and the same rows
+        outputs = []
+        for extra in ({}, {field: None}):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"kind": kind, "n": 6, "rank": 2, **extra}))
+            cfg = ExperimentConfig.from_json(cfg_path.read_text())
+            op_path, rows_path = tmp_path / "op.json", tmp_path / "rows.csv"
+            save_operator(build_operator(cfg, cfg.seed), op_path)
+            assert main(["bench", str(cfg_path), "--no-timing",
+                         "--out", str(rows_path)]) == 0
+            outputs.append((op_path.read_bytes(), rows_path.read_text()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind,make", [
+        ("block-grid", lambda n, s: generate_block_grid(sizes=(1,) * n,
+                                                        seed=s)),
+        ("random-grid", lambda n, s: generate_random_grid(n, seed=s)),
+    ])
+    def test_generate_without_family_flags_runs_the_generator(
+            self, tmp_path, kind, make):
+        # no flag restates a generator default
+        for n, s in ((50, 0), (7, 5)):
+            path, want = tmp_path / "op.json", tmp_path / "want.json"
+            argv = ["generate", "--kind", kind, "--out", str(path)]
+            if (n, s) != (50, 0):
+                argv += ["--n", str(n), "--seed", str(s)]
+            assert main(argv) == 0
+            save_operator(make(n, s), want)
+            assert path.read_bytes() == want.read_bytes()
 
     def test_bench_malformed_json_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -703,21 +760,20 @@ NUMPY_ONLY = """
 import sys
 import numpy as np
 from nneig.bench import ExperimentConfig, run_experiment
-from nneig.markovgrid import (BlockGridSpec, RandomGridSpec,
-                              generate_block_grid, generate_random_grid)
+from nneig.markovgrid import generate_block_grid, generate_random_grid
 from nneig.operators import HadamardGrowthOperator, SeparableGrowthOperator
-block = generate_block_grid(BlockGridSpec(sizes=(1,) * 6, delta=0.3,
-                                          style="trap"))
+block = generate_block_grid((1,) * 6, delta=0.3, style="trap")
 assert block.factor_form() is None  # its terms are folded
 U = np.ones((6, 2))
-for op in (block, generate_random_grid(RandomGridSpec(n=6)),
+for op in (block, generate_random_grid(6),
            HadamardGrowthOperator.standard(6),
            SeparableGrowthOperator.standard(6)):
     op.apply_full(U @ U.T)
     op.apply_factored(U, U)
     if op.factor_form() is not None:
         op.factor_form().project(U, U)
-run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2, trials=1))
+run_experiment(ExperimentConfig(kind="block-grid", n=6, rank=2, trials=1,
+                                block_style="trap"))
 assert "scipy" not in sys.modules, "scipy was imported"
 """
 

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nneig.markovgrid import (
-    BlockGridSpec,
-    RandomGridSpec,
     demo_clustered_walk,
     demo_path_walk,
     dirichlet_row,
@@ -62,34 +60,30 @@ class TestPrimitives:
 
 class TestBlockGrid:
     def test_deterministic(self):
-        spec = BlockGridSpec(sizes=(3, 2, 4), delta=0.3, seed=7)
-        op1 = generate_block_grid(spec)
-        op2 = generate_block_grid(spec)
+        op1 = generate_block_grid((3, 2, 4), delta=0.3, seed=7)
+        op2 = generate_block_grid((3, 2, 4), delta=0.3, seed=7)
         for (w1, A1, B1), (w2, A2, B2) in zip(op1.terms, op2.terms):
             assert w1 == w2
             np.testing.assert_array_equal(A1, A2)
             np.testing.assert_array_equal(B1, B2)
 
     def test_stochastic_style_is_valid_grid(self):
-        spec = BlockGridSpec(sizes=(4, 3, 3), delta=0.2, seed=1,
-                             style="stochastic")
-        op = generate_block_grid(spec)
+        op = generate_block_grid((4, 3, 3), delta=0.2, seed=1,
+                                 style="stochastic")
         assert op.shape == (10, 10)
         assert len(op.terms) == 4
         report = validate_grid(op)
         assert report.ok, report.failures
 
     def test_unit_blocks_give_one_term_per_state(self):
-        spec = BlockGridSpec(sizes=(1,) * 50, delta=0.2, seed=0,
-                             style="stochastic")
-        op = generate_block_grid(spec)
+        op = generate_block_grid((1,) * 50, delta=0.2, seed=0,
+                                 style="stochastic")
         assert op.shape == (50, 50)
         assert len(op.terms) == 51
         assert validate_grid(op).ok
 
     def test_block_sparsity_pattern(self):
-        spec = BlockGridSpec(sizes=(2, 3), delta=0.5, seed=3, style="trap")
-        op = generate_block_grid(spec)
+        op = generate_block_grid((2, 3), delta=0.5, seed=3, style="trap")
         w0, A0, _ = op.terms[0]
         assert w0 == pytest.approx(0.5)
         # off-block rows are fully absorbed in the trap style
@@ -98,14 +92,13 @@ class TestBlockGrid:
         np.testing.assert_allclose(A0[:2, :2].sum(axis=1), 1.0, atol=1e-12)
 
     def test_trap_style_substochastic_flagged(self):
-        spec = BlockGridSpec(sizes=(2, 2), delta=0.4, seed=5, style="trap")
-        report = validate_grid(generate_block_grid(spec))
+        report = validate_grid(generate_block_grid((2, 2), delta=0.4,
+                                                   seed=5, style="trap"))
         assert not report.ok
         assert any("row" in f for f in report.failures)
 
     def test_trap_dense_term_uniform(self):
-        spec = BlockGridSpec(sizes=(1,) * 6, delta=0.25, seed=9, style="trap")
-        op = generate_block_grid(spec)
+        op = generate_block_grid((1,) * 6, delta=0.25, seed=9, style="trap")
         w, A, B = op.terms[-1]
         assert w == pytest.approx(0.25)
         np.testing.assert_array_equal(A, np.full((6, 6), 1.0 / 6.0))
@@ -113,27 +106,31 @@ class TestBlockGrid:
 
     def test_irreducible_aperiodic_small(self):
         # the dense completion connects everything: (P + I)^(mn) > 0
-        spec = BlockGridSpec(sizes=(2, 2), delta=0.3, seed=11,
-                             style="stochastic")
-        P = vectorize_operator(generate_block_grid(spec))
+        P = vectorize_operator(generate_block_grid(
+            (2, 2), delta=0.3, seed=11, style="stochastic"))
         M = np.linalg.matrix_power(P + np.eye(16), 16)
         assert np.all(M > 0)
 
-    def test_spec_n_property(self):
-        assert BlockGridSpec(sizes=(3, 4, 5), delta=0.1, seed=0).n == 12
+    @pytest.mark.parametrize("sizes,kw,message", [
+        ((), {}, "block sizes"), ((2, 0), {}, "block sizes"),
+        ((2,), {"delta": 0.0}, "delta"), ((2,), {"delta": 1.5}, "delta"),
+        ((2,), {"style": "absorbing"}, "unknown style"),
+    ])
+    def test_bad_input_rejected(self, sizes, kw, message):
+        with pytest.raises(ValueError, match=message):
+            generate_block_grid(sizes, **kw)
 
 
 class TestRandomGrid:
     def test_independent_family_valid(self):
-        spec = RandomGridSpec(n=12, t=4, density=0.8, seed=2,
-                              family="independent")
-        op = generate_random_grid(spec)
+        op = generate_random_grid(12, t=4, density=0.8, seed=2,
+                                  family="independent")
         assert len(op.terms) == 4
         assert validate_grid(op).ok
 
     def test_shared_pair_structure(self):
-        spec = RandomGridSpec(n=9, density=0.9, seed=4, family="shared-pair")
-        op = generate_random_grid(spec)
+        op = generate_random_grid(9, density=0.9, seed=4,
+                                  family="shared-pair")
         assert len(op.terms) == 3
         assert validate_grid(op).ok
         _, A1, B1 = op.terms[0]
@@ -144,14 +141,24 @@ class TestRandomGrid:
         np.testing.assert_array_equal(A3, A1)
         np.testing.assert_array_equal(B3, B2)
 
+    @pytest.mark.parametrize("n,kw,message", [
+        (0, {}, "n and t"), (4, {"t": 0}, "n and t"),
+        (4, {"density": 0.0}, "density"),
+        (4, {"family": "coupled"}, "unknown family"),
+    ])
+    def test_bad_input_rejected(self, n, kw, message):
+        with pytest.raises(ValueError, match=message):
+            generate_random_grid(n, **kw)
+
     def test_shared_pair_needs_three_terms(self):
-        with pytest.raises(ValueError):
-            RandomGridSpec(n=5, t=2, family="shared-pair")
+        with pytest.raises(ValueError, match="t = 3"):
+            generate_random_grid(5, t=2, family="shared-pair")
 
     def test_deterministic(self):
-        spec = RandomGridSpec(n=7, seed=13, family="shared-pair")
-        X1 = generate_random_grid(spec).apply_full(np.eye(7))
-        X2 = generate_random_grid(spec).apply_full(np.eye(7))
+        X1 = generate_random_grid(7, seed=13, family="shared-pair") \
+            .apply_full(np.eye(7))
+        X2 = generate_random_grid(7, seed=13, family="shared-pair") \
+            .apply_full(np.eye(7))
         np.testing.assert_array_equal(X1, X2)
 
 

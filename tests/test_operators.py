@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nneig.markovgrid import (BlockGridSpec, demo_path_walk,
-                              generate_block_grid)
+from nneig.markovgrid import demo_path_walk, generate_block_grid
 from nneig.operators import (
     STEP_FRACTION,
     HadamardGrowthOperator,
@@ -172,10 +171,10 @@ class TestMarkovGridOperator:
         lambda: TestMarkovGridOperator().make_random(12),
         lambda: TestMarkovGridOperator().make_random(13, m=3, n=6),
         demo_path_walk,
-        lambda: generate_block_grid(BlockGridSpec(
-            sizes=(3, 4, 5), delta=0.3, seed=1, style="trap")),
-        lambda: generate_block_grid(BlockGridSpec(
-            sizes=(3,) * 10, delta=0.3, seed=2, style="stochastic")),
+        lambda: generate_block_grid((3, 4, 5), delta=0.3, seed=1,
+                                    style="trap"),
+        lambda: generate_block_grid((3,) * 10, delta=0.3, seed=2,
+                                    style="stochastic"),
     ], ids=["random", "rectangular", "path", "trap", "stochastic-blocks"])
     def test_default_step_under_stability_bound(self, make):
         # the grid counterpart of the growth families' check: the reach s
@@ -205,8 +204,7 @@ class TestMarkovGridOperator:
         # at 0.2.  The per-term bound sum_p |w_p| ||A_p||_inf ||B_p||_inf
         # reads 40.2 here; the vectorized 1-norm is 1.  The norm is
         # computed on first use, not when the grid is built
-        op = generate_block_grid(BlockGridSpec(sizes=(1,) * 50, delta=0.2,
-                                               seed=7, style="trap"))
+        op = generate_block_grid((1,) * 50, delta=0.2, seed=7, style="trap")
         assert "_norm1" not in vars(op)
         assert op.default_step() == 0.4
         assert op._reach() == 1.0
@@ -305,8 +303,7 @@ def grid_terms(draw):
 class TestSparseFold:
     # ten block terms that are the identity outside their own 3x3 block,
     # plus one dense term
-    SPEC = BlockGridSpec(sizes=(3,) * 10, delta=0.3, seed=2,
-                         style="stochastic")
+    SPEC = dict(sizes=(3,) * 10, delta=0.3, seed=2, style="stochastic")
 
     @given(grid_terms())
     @settings(max_examples=300, deadline=None)
@@ -316,11 +313,11 @@ class TestSparseFold:
         assert_plan_matches_reference(MarkovGridOperator(terms))
 
     @pytest.mark.parametrize("make", [
-        lambda: generate_block_grid(TestSparseFold.SPEC),
-        lambda: generate_block_grid(BlockGridSpec(
-            sizes=(1,) * 50, delta=0.2, seed=7, style="trap")),
-        lambda: generate_block_grid(BlockGridSpec(
-            sizes=(1, 3, 7, 2, 20, 4), delta=0.1, seed=1, style="trap")),
+        lambda: generate_block_grid(**TestSparseFold.SPEC),
+        lambda: generate_block_grid((1,) * 50, delta=0.2, seed=7,
+                                    style="trap"),
+        lambda: generate_block_grid((1, 3, 7, 2, 20, 4), delta=0.1, seed=1,
+                                    style="trap"),
         # rectangular, shared positions, signed and zero weights
         lambda: MarkovGridOperator([
             (0.5, np.eye(3), np.diag([1.0, 0.0, 2.0, 0.0, 0.0, 3.0])),
@@ -348,7 +345,7 @@ class TestSparseFold:
                                       np.zeros((2, 4)))
 
     def test_one_entry_per_distinct_position(self):
-        op = generate_block_grid(self.SPEC)
+        op = generate_block_grid(**self.SPEC)
         assert op._dense_wAt.shape[0] == 1
         kron = [np.nonzero(np.kron(B.T, A.T)) for _, A, B in op.terms[:-1]]
         assert len(kron) == 10
@@ -362,7 +359,7 @@ class TestSparseFold:
         assert set(zip(rows.tolist(), cols.tolist())) == positions
 
     def test_applies_match_vectorization(self):
-        op = generate_block_grid(self.SPEC)
+        op = generate_block_grid(**self.SPEC)
         P = vectorize_operator(op)
         rng = np.random.default_rng(13)
         U, V = rng.random((30, 3)), rng.random((30, 3))
@@ -462,11 +459,11 @@ class TestGrowthOperators:
             assert np.array_equal(op.apply_full(X), expected)
 
     def test_shift_makes_iteration_nonnegative(self):
-        # shifted operator X -> A(X) + sigma X maps the positive cone to
+        # shifted by its reach, X -> A(X) + s X maps the positive cone to
         # itself; spot-check on random nonnegative inputs
         for op in (HadamardGrowthOperator.standard(8),
                    SeparableGrowthOperator.standard(8)):
-            sigma = op.default_shift()
+            sigma = op._reach()
             rng = np.random.default_rng(4)
             for _ in range(10):
                 X = rng.random((8, 8))
@@ -477,10 +474,10 @@ class TestGrowthOperators:
                                         SeparableGrowthOperator])
     @pytest.mark.parametrize("n", [9, 100, 400])
     def test_default_step_under_stability_bound(self, family, n):
-        # the explicit step is stable up to about 2 / shift, and the
-        # diffusion part of the shift grows like n^2
+        # the explicit step is stable up to about 2 / s for the reach s,
+        # and the diffusion part of the reach grows like n^2
         op = family.standard(n)
-        assert op.default_step() * op.default_shift() <= 0.5
+        assert op.default_step() * op._reach() <= 0.5
 
     def test_zero_operator_has_no_default_step(self):
         op = HadamardGrowthOperator(neumann_laplacian(4), 0.0, 0.0,

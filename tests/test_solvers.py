@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from nneig.bench import ExperimentConfig, _vertex_init, build_operator
 from nneig.lowrank import best_scaled_error, nmf
 from nneig.markovgrid import (
-    RandomGridSpec,
     demo_clustered_walk,
     demo_path_walk,
     generate_random_grid,
@@ -92,12 +91,12 @@ class TestKrylovReference:
     @pytest.mark.parametrize("make", [
         demo_path_walk,  # periodic: eigenvalue -1 sits opposite 1, undamped
         demo_clustered_walk,
-        lambda: generate_random_grid(RandomGridSpec(n=7, seed=3)),
+        lambda: generate_random_grid(7, seed=3),
         lambda: SeparableGrowthOperator.standard(9),
         lambda: HadamardGrowthOperator.standard(9),
     ], ids=["path-walk", "clustered-walk", "random-grid-7", "separable-9",
             "hadamard-9"])
-    def test_matches_power_and_dense_eig(self, make):
+    def test_matches_dense_eig(self, make):
         op = make()
         rep = krylov_reference(op, tol=1e-11)
         assert rep.converged
@@ -272,9 +271,9 @@ def block_grid_warm_solve():
     """rneg on the first trial of the shipped block-grid benchmark config,
     warm started from the reference as the bench does."""
     cfg = ExperimentConfig(kind="block-grid", n=50, rank=10, seed=7,
-                           delta=0.2)
+                           delta=0.2, block_style="trap")
     op = build_operator(cfg, cfg.seed)
-    ref = krylov_reference(op, tol=cfg.power_tol, max_iters=cfg.power_iters)
+    ref = krylov_reference(op, tol=cfg.power_tol)
     Xpos = np.maximum(ref.X, 0.0)
     pair = _vertex_init(Xpos, nmf(Xpos, cfg.rank, seed=cfg.seed))
     return rneg_solve(op, cfg.rank, seed=cfg.seed, init=pair)
@@ -516,8 +515,7 @@ class TestRNeg:
         # at rank one on this grid the U gradient reaches roundoff long
         # before V settles; a per-factor acceptance test then rejected
         # every trial and shrank the step to nothing
-        op = generate_random_grid(RandomGridSpec(n=8, family="shared-pair",
-                                                 seed=17))
+        op = generate_random_grid(8, family="shared-pair", seed=17)
         _, _, Xstar = rank_one_stationary(op.terms[0][1], op.terms[1][2])
         rep = rneg_solve(op, rank=1, seed=17)
         assert rep.converged
@@ -537,7 +535,8 @@ class TestRNeg:
         assert 0 < cold.details["capped"] <= cold.iterations
 
     def test_random_grid_rank3_cold_converges(self):
-        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0)
+        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0,
+                               family="shared-pair")
         rep = rneg_solve(build_operator(cfg, 0), 3, seed=0)
         assert rep.converged
         assert rep.neg_count == 0
@@ -546,7 +545,8 @@ class TestRNeg:
         # trial 0 of the shipped random-grid config; the stop reads the
         # projected gradient at a threshold set by the default step, so
         # a 40x larger first step ends the solve about as accurate
-        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0)
+        cfg = ExperimentConfig(kind="random-grid", n=100, rank=3, seed=0,
+                               family="shared-pair")
         op = build_operator(cfg, 0)
         ref = krylov_reference(op, tol=cfg.power_tol)
         errs = []
@@ -719,8 +719,9 @@ class TestPSI:
         # np.linalg.qr wrapper; with the wrapper patched back in, warm
         # solves on the two paths give the same iterate bit for bit
         if assembled:
-            op = build_operator(ExperimentConfig(kind="block-grid", n=50,
-                                                 rank=10, seed=7), 7)
+            op = build_operator(ExperimentConfig(
+                kind="block-grid", n=50, rank=10, seed=7,
+                block_style="trap"), 7)
             rank, steps = 10, 100
             assert _narrow_form(op, rank) is None
         else:
@@ -829,9 +830,6 @@ class AssembledImage(LinearMatrixOperator):
     def default_step(self):
         return self.op.default_step()
 
-    def default_shift(self):
-        return self.op.default_shift()
-
 
 def _counted_form(op, calls):
     """Make ``op``'s factor form count its lifts in ``calls`` and forbid
@@ -862,7 +860,7 @@ class TestProjectedImagePath:
     FAMILIES = {
         "separable": lambda: SeparableGrowthOperator.standard(30),
         "random-grid": lambda: generate_random_grid(
-            RandomGridSpec(n=30, seed=5, family="shared-pair")),
+            30, seed=5, family="shared-pair"),
     }
 
     @staticmethod
