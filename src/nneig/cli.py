@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "where s is the 1-norm of the vectorized operator "
                         "on Markov grids, so 0.4 on probabilistic ones, "
                         "and the largest growth rate plus twice the "
-                        "stiffest diffusion rate on growth operators)")
+                        "largest diffusion diagonal on growth operators)")
     s.add_argument("--out", default=None, help="report JSON path")
 
     b = sub.add_parser("bench", help="run a benchmark experiment config")

@@ -414,9 +414,10 @@ class _GrowthDiffusionOperator(LinearMatrixOperator):
         return self._form
 
     def _reach(self) -> float:
-        # the largest growth rate plus the stiff diffusion term, the shift
-        # that makes A + s I nonnegativity-preserving; the diffusion sets
-        # the explicit bound of the flow on the factors, about 2 / s
+        # the largest growth rate plus twice the largest diffusion
+        # diagonal, a shift s that makes X -> A(X) + s X keep the cone; the
+        # stiff diffusion sets the explicit bound of the flow on the
+        # factors, about 2 / s
         return (self.g * float(np.abs(self.G).max())
                 + 2 * self.eps * float(np.abs(np.diag(self.A)).max()))
 
