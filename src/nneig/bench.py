@@ -7,20 +7,18 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .lowrank import (NMFResult, SVDTriple, best_scaled_error, nmf,
-                      truncated_svd)
+from .lowrank import best_scaled_error, nmf, truncated_svd
 from .markovgrid import generate_block_grid, generate_random_grid
 from .operators import (HadamardGrowthOperator, LinearMatrixOperator,
                         SeparableGrowthOperator)
 from .matcore import FactorPair
 from .solvers import (EigenReport, PSIState, SolverError, _check_budget,
                       _check_int, _check_rank, _check_step, _check_tol,
-                      _report, krylov_reference, psi_solve, rayleigh,
-                      rneg_solve)
+                      _report, krylov_reference, psi_solve, rneg_solve)
 
 __all__ = [
     "KNOWN_METHODS",
@@ -223,31 +221,25 @@ def build_operator(cfg: ExperimentConfig, trial_seed: int) -> LinearMatrixOperat
     return SeparableGrowthOperator.standard(cfg.n, **kw)
 
 
-def _compression(method: str, ref: EigenReport, svd: SVDTriple | None,
-                 fit: NMFResult | None) -> tuple[np.ndarray, bool]:
-    """The unnormalized low-rank matrix that ``power+svd`` (from ``svd``)
-    or ``power+nmf`` (from ``fit``, of the clipped reference) makes of the
-    reference ``ref``, and whether it converged: ``power+nmf`` also needs a
-    fit not cut by its sweep budget.  Normalizing the matrix here as well
-    as in its consumers would move the last digits of their results."""
-    if method == "power+svd":
-        return svd.reconstruct(), ref.converged
-    return fit.W @ fit.H, ref.converged and fit.stop != "budget"
-
-
 def solve(op: LinearMatrixOperator, method: str, rank: int, *,
           seed: int = 0, tol: float | None = None,
           budget: int | None = None,
           h: float | None = None, init=None) -> EigenReport:
-    """One run of ``method`` on ``op``, as ``nneig solve`` and the bench's
-    ``psi`` and ``rneg`` rows run it.
+    """One run of ``method`` on ``op``: the record of every solve that
+    ``nneig solve`` runs and that a bench row reads.
 
     ``tol`` and ``budget`` (None: the solver's default) go to the method's
-    solver under its own keywords; ``h`` (psi's step, rneg's first step)
-    and ``init`` (their warm start) go to psi and rneg only.  ``seed``
-    seeds cold starts and the HALS fit.  The compressions report on their
-    normalized product, timed from the start of the reference, and
-    ``power+nmf`` adds its fit's ``fit_stop`` and ``fit_sweeps``.
+    solver under its own keywords; ``h`` is psi's step and rneg's first
+    step.  ``init`` is a warm start: a :class:`~nneig.solvers.PSIState`
+    for psi, a :class:`~nneig.matcore.FactorPair` for rneg, and for
+    ``power+svd`` and ``power+nmf`` the reference report to compress.
+    ``power`` takes none.  ``seed`` seeds cold starts and the HALS fit.
+    A compression given ``init`` runs no reference, so ``tol`` and
+    ``budget`` do not apply to it, and it is timed from its own start;
+    without ``init`` it runs the reference first and is timed from the
+    reference's start.  It reports on the normalized product of the
+    factorization it made, and ``power+nmf`` adds its fit's ``fit_stop``
+    and ``fit_sweeps``.
     """
     if method not in KNOWN_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -257,63 +249,62 @@ def solve(op: LinearMatrixOperator, method: str, rank: int, *,
         return psi_solve(op, rank, h=h, seed=seed, init=init, **kw)
     if method == "rneg":
         return rneg_solve(op, rank, h0=h, seed=seed, init=init, **kw)
-    if method != "power":
-        _check_rank(rank, min(op.shape))
+    if method == "power":
+        return replace(power_reference(op, **kw), method="power")
+    _check_rank(rank, min(op.shape))
     t0 = time.perf_counter()
-    ref = power_reference(op, **kw)
-    X, ok, details = ref.X, ref.converged, dict(ref.details)
-    if method != "power":
-        svd = truncated_svd(ref.X, rank) if method == "power+svd" else None
-        fit = (nmf(np.maximum(ref.X, 0.0), rank, seed=seed)
-               if method == "power+nmf" else None)
-        X, ok = _compression(method, ref, svd, fit)
-        nrm = np.linalg.norm(X)
-        if nrm == 0:
-            raise SolverError("low-rank compression of the reference is zero")
-        X = X / nrm
-        if fit is not None:
-            details.update(fit_stop=fit.stop, fit_sweeps=fit.sweeps)
-    details["stop"] = "converged" if ok else "budget"
-    return _report(method, op, X, t0, ref.iterations, details["stop"],
-                   details)
-
-
-def evaluate_against_reference(op: LinearMatrixOperator, X,
-                               ref: EigenReport, method: str,
-                               time_s: float, converged: bool) -> MetricsRow:
-    """Uniform metric computation on the unit-normalized approximation.
-
-    The approximation is normalized in Frobenius norm before computing its
-    Rayleigh value, residual, scale-minimized relative error against the
-    reference matrix, and negative-entry count.  Sign-indeterminate methods
-    can return the mirror image of the target; the overall sign is aligned
-    with the reference first, since only genuine sign mixing should show up
-    in the negative-entry count.
-    """
-    X = np.asarray(X, dtype=float)
-    nrm = float(np.linalg.norm(X))
+    ref = power_reference(op, **kw) if init is None else init
+    details = dict(ref.details)
+    ok = ref.converged
+    if method == "power+svd":
+        tri = truncated_svd(ref.X, rank)
+        X = tri.reconstruct()
+        state = {"psi_state": PSIState(tri.U, np.diag(tri.s), tri.Vt.T)}
+    else:
+        fit = nmf(np.maximum(ref.X, 0.0), rank, seed=seed)
+        X = fit.W @ fit.H
+        state = {"factors": FactorPair(fit.W, fit.H.T)}
+        ok = ok and fit.stop != "budget"
+        details.update(fit_stop=fit.stop, fit_sweeps=fit.sweeps)
+    nrm = np.linalg.norm(X)
     if nrm == 0:
-        raise ValueError("approximation is identically zero")
-    Xn = X / nrm
-    if float(np.sum(Xn * ref.X)) < 0:
-        Xn = -Xn
-    lam, res = rayleigh(op, Xn)
+        raise SolverError("low-rank compression of the reference is zero")
+    details["stop"] = "converged" if ok else "budget"
+    return _report(method, op, X / nrm, t0, ref.iterations, details["stop"],
+                   details, **state)
+
+
+def evaluate_against_reference(rep: EigenReport, ref: EigenReport,
+                               method: str, time_s: float) -> MetricsRow:
+    """The bench row of the solve that returned ``rep``.
+
+    The eigenvalue, residual and convergence flag are the report's own.
+    Only the columns that need the reference ``ref`` are computed here:
+    the scale-minimized relative error against its matrix, the eigenvalue
+    error, and the negative-entry count.  Sign-indeterminate methods can
+    return the mirror image of the target, so the count is taken after
+    aligning the overall sign with the reference: only genuine sign
+    mixing shows up in it.
+    """
+    mirrored = float(np.vdot(rep.X, ref.X)) < 0
     return MetricsRow(
         method=method,
         time_s=time_s,
-        relerr=best_scaled_error(Xn, ref.X),
-        residual=res,
-        lambda_err=abs(lam - ref.eigenvalue),
-        neg_count=int(np.count_nonzero(Xn < 0)),
-        converged=float(converged),
+        relerr=best_scaled_error(rep.X, ref.X),
+        residual=rep.residual,
+        lambda_err=abs(rep.eigenvalue - ref.eigenvalue),
+        neg_count=(int(np.count_nonzero(rep.X > 0)) if mirrored
+                   else rep.neg_count),
+        converged=float(rep.converged),
     )
 
 
-def _vertex_init(Xref: np.ndarray, fit: NMFResult) -> FactorPair:
+def _vertex_init(Xref: np.ndarray, pair: FactorPair) -> FactorPair:
     """Sign-constrained warm start: one support vertex per factor column.
 
-    ``fit``, a nonnegative factorization of the clipped reference ``Xref``,
-    is collapsed to its dominant entries, one disjoint (row, col) pair per
+    ``pair``, the ``factors`` ``W H = U V^T`` of ``power+nmf``, a
+    nonnegative factorization of the clipped reference ``Xref``, is
+    collapsed to its dominant entries, one disjoint (row, col) pair per
     component, scored by the component's outer product weighted with the
     reference mass it sits on.  Equal unit loadings keep the starting slots
     balanced; the constrained flow then only has to polish magnitudes.
@@ -323,7 +314,7 @@ def _vertex_init(Xref: np.ndarray, fit: NMFResult) -> FactorPair:
     start with the full set of supports already populated stays spread out.
     """
     m, n = Xref.shape
-    W, H = fit.W, fit.H
+    W, H = pair.U, pair.V.T
     rank = W.shape[1]
     U0 = np.zeros((m, rank))
     V0 = np.zeros((n, rank))
@@ -341,12 +332,6 @@ def _vertex_init(Xref: np.ndarray, fit: NMFResult) -> FactorPair:
         U0[i, k] = 1.0
         V0[j, k] = 1.0
     return FactorPair(U0, V0)
-
-
-def _svd_state(tri: SVDTriple) -> PSIState:
-    """Splitting-integrator warm start from ``tri``, the truncated SVD of
-    the reference."""
-    return PSIState(tri.U, np.diag(tri.s), tri.Vt.T.copy())
 
 
 # the time span psi integrates from its warm start on block grids, whose
@@ -384,57 +369,44 @@ def _run_methods(op: LinearMatrixOperator, cfg: ExperimentConfig,
         psi_init = "random" if cfg.kind == "random-grid" else "reference"
     else:
         rneg_init = psi_init = cfg.ode_init
-    # power+nmf and the warm rneg start factor the same clipped reference,
-    # and power+svd and the warm psi start the same reference; each
-    # factorization runs once and its time is charged to both rows
-    Xpos = np.maximum(ref.X, 0.0)
-    fit, fit_s = None, 0.0
-    if "power+nmf" in cfg.methods or ("rneg" in cfg.methods
-                                      and rneg_init == "reference"):
-        t0 = time.perf_counter()
-        fit = nmf(Xpos, cfg.rank, seed=trial_seed)
-        fit_s = time.perf_counter() - t0
-    svd, svd_s = None, 0.0
-    if "power+svd" in cfg.methods or ("psi" in cfg.methods
-                                      and psi_init == "reference"):
-        t0 = time.perf_counter()
-        svd = truncated_svd(ref.X, cfg.rank)
-        svd_s = time.perf_counter() - t0
+    psi_warm = "psi" in cfg.methods and psi_init == "reference"
+    rneg_warm = "rneg" in cfg.methods and rneg_init == "reference"
+    # the warm rneg start is made from the power+nmf factorization and the
+    # warm psi start is the power+svd one: each compression runs once, and
+    # its report serves its row and the warm start, which is charged its
+    # time
+    comp = {m: solve(op, m, cfg.rank, seed=trial_seed, init=ref)
+            for m, warm in (("power+nmf", rneg_warm), ("power+svd", psi_warm))
+            if warm or m in cfg.methods}
     rows = []
     for method in cfg.methods:
         if method == "power":
-            rows.append(evaluate_against_reference(
-                op, ref.X, ref, "power", ref.wall_time_s, ref.converged))
-        elif method in ("power+svd", "power+nmf"):
-            t0 = time.perf_counter()
-            X, ok = _compression(method, ref, svd, fit)
-            dt = time.perf_counter() - t0
-            dt += fit_s if method == "power+nmf" else svd_s
-            rows.append(evaluate_against_reference(
-                op, X, ref, method, ref.wall_time_s + dt, ok))
+            rep, dt = ref, ref.wall_time_s
+        elif method in comp:
+            rep = comp[method]
+            dt = ref.wall_time_s + rep.wall_time_s
         elif method == "psi":
+            svd = comp["power+svd"] if psi_warm else None
             t0 = time.perf_counter()
-            state = _svd_state(svd) if psi_init == "reference" else None
             rep = solve(op, "psi", cfg.rank, seed=trial_seed,
                         tol=cfg.psi_tol, budget=_psi_budget(op, cfg),
-                        h=cfg.psi_h, init=state)
+                        h=cfg.psi_h,
+                        init=None if svd is None else svd.psi_state)
             dt = time.perf_counter() - t0
-            if state is not None:
-                dt += svd_s
-            rows.append(evaluate_against_reference(
-                op, rep.X, ref, "psi", dt, rep.converged))
+            if svd is not None:
+                dt += svd.wall_time_s
         else:
+            fit = comp["power+nmf"] if rneg_warm else None
             t0 = time.perf_counter()
-            pair = (_vertex_init(Xpos, fit)
-                    if rneg_init == "reference" else None)
+            pair = (None if fit is None
+                    else _vertex_init(np.maximum(ref.X, 0.0), fit.factors))
             rep = solve(op, "rneg", cfg.rank, seed=trial_seed,
                         tol=cfg.rneg_tol, budget=cfg.rneg_nmax,
                         h=cfg.rneg_h0, init=pair)
             dt = time.perf_counter() - t0
-            if pair is not None:
-                dt += fit_s
-            rows.append(evaluate_against_reference(
-                op, rep.X, ref, "rneg", dt, rep.converged))
+            if fit is not None:
+                dt += fit.wall_time_s
+        rows.append(evaluate_against_reference(rep, ref, method, dt))
     return rows
 
 

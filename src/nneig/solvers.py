@@ -59,7 +59,11 @@ class EigenReport:
     :func:`rayleigh`) and ``neg_count`` its number of negative entries.
     ``iterations`` counts the solver's steps (operator applications for
     the Krylov reference).  ``factors`` is set by the sign-constrained
-    solver, ``psi_state`` by the splitting one.
+    solver and by ``power+nmf`` (``W``, ``H^T`` of its HALS fit),
+    ``psi_state`` by the splitting one and by ``power+svd`` (``U``,
+    ``diag(s)``, ``V`` of its truncated SVD).  The two compressions store
+    their factorization as it was computed, so its product is ``X`` times
+    the norm it had before normalization.
 
     ``details`` is the record of how the solve ended: ``stop`` is
     ``"converged"``, ``"budget"`` or (``rneg`` only) ``"stalled"``, and
@@ -834,21 +838,17 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
         S = init.S / s_nrm
         V = init.V.copy()
 
-    # each substep's image at its iterate X, projected onto the factors,
-    # and the Rayleigh value <A(X), X>
+    # each substep's image at its iterate X, projected onto the factors
     form = _narrow_form(op, rank)
     if form is None:
         def k_image(U, S, V, US):  # F V at X = U S V^T, US = U S
-            FV = op.apply_factored(US, V).dot(V)
-            return FV, float(np.vdot(FV, US))
+            return op.apply_factored(US, V).dot(V)
 
         def s_image(U1, S, V):  # U1^T F V at X = U1 S V^T
-            FV, rho = k_image(U1, S, V, U1.dot(S))
-            return U1.T.dot(FV), rho
+            return U1.T.dot(k_image(U1, S, V, U1.dot(S)))
 
         def l_image(U1, S, V, VS):  # F^T U1 at X = U1 S V^T, VS = V S^T
-            F = op.apply_factored(U1, VS)
-            return F.T.dot(U1), float(np.vdot(F.dot(VS), U1))
+            return op.apply_factored(U1, VS).T.dot(U1)
     else:
         K = form.blocks
         left, right = _last(form.left), _last(form.right)
@@ -859,16 +859,13 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
             return (M @ B.reshape(K, rank, -1)).reshape(B.shape)
 
         def k_image(U, S, V, US):
-            FV = left(U).dot(bd(S, D(V)))
-            return FV, float(np.vdot(FV, US))
+            return left(U).dot(bd(S, D(V)))
 
         def s_image(U1, S, V):
-            UtFV = E(U1).dot(bd(S, D(V)))
-            return UtFV, float(np.vdot(UtFV, S))
+            return E(U1).dot(bd(S, D(V)))
 
         def l_image(U1, S, V, VS):
-            FtU = right(V).dot(bd(S.T, E(U1).T))
-            return FtU, float(np.vdot(FtU, VS))
+            return right(V).dot(bd(S.T, E(U1).T))
 
     # the substeps' QR runs without thin_qr's validation and sign
     # convention: a column sign flip of a Q is exact in floating point and
@@ -877,17 +874,21 @@ def psi_solve(op: LinearMatrixOperator, rank: int, h: float | None = None,
     thr = tol * step
     stop = "budget"
     for k in range(1, max_steps + 1):
+        # each substep's Rayleigh value <A(X), X> from its projected image
         # K-step
-        FV, rho = k_image(U, S, V, US)
+        FV = k_image(U, S, V, US)
+        rho = float(np.vdot(FV, US))
         _check_finite(rho, "splitting iterate")
         U1, S_hat = _qr(US + step * (FV - rho * US))
         # S-step (backward)
-        UtFV, rho = s_image(U1, S_hat, V)
+        UtFV = s_image(U1, S_hat, V)
+        rho = float(np.vdot(UtFV, S_hat))
         _check_finite(rho, "splitting iterate")
         S_tilde = S_hat - step * (UtFV - rho * S_hat)
         # L-step, at X = U1 (V S_tilde^T)^T
         VS = V.dot(S_tilde.T)
-        FtU, rho = l_image(U1, S_tilde, V, VS)
+        FtU = l_image(U1, S_tilde, V, VS)
+        rho = float(np.vdot(FtU, VS))
         _check_finite(rho, "splitting iterate")
         V1, S1t = _qr(VS + step * (FtU - rho * VS))
         s_nrm = _norm(S1t)

@@ -36,7 +36,7 @@ from nneig.markovgrid import (demo_path_walk, generate_block_grid,
                               generate_random_grid)
 from nneig.operators import (HadamardGrowthOperator, load_operator,
                              save_operator)
-from nneig.solvers import krylov_reference
+from nneig.solvers import _report, krylov_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -124,39 +124,42 @@ class TestExperimentConfig:
 
 
 class TestEvaluateAgainstReference:
+    # rows are built from solve reports: the eigenvalue, residual and
+    # convergence flag are the report's, the rest is measured against the
+    # reference
     def setup_method(self):
         self.op = demo_path_walk()
         self.ref = krylov_reference(self.op, tol=1e-11)
 
+    def report(self, X):
+        return _report("m", self.op, X, time.perf_counter(), 0, "budget", {})
+
     def test_reference_against_itself(self):
-        row = evaluate_against_reference(self.op, self.ref.X, self.ref,
-                                         "power", 0.1, True)
-        assert row.relerr <= 1e-12
-        assert row.lambda_err <= 1e-12
+        row = evaluate_against_reference(self.ref, self.ref, "power", 0.1)
+        assert row.relerr == 0.0
+        assert row.lambda_err == 0.0
+        assert row.residual == self.ref.residual
         assert row.neg_count == 0
         assert row.converged == 1.0
-
-    def test_scale_invariance(self):
-        a = evaluate_against_reference(self.op, self.ref.X, self.ref,
-                                       "m", 0.0, True)
-        b = evaluate_against_reference(self.op, 7.3 * self.ref.X, self.ref,
-                                       "m", 0.0, True)
-        assert b.relerr == pytest.approx(a.relerr, abs=1e-12)
-        assert b.lambda_err == pytest.approx(a.lambda_err, abs=1e-12)
+        assert row.time_s == 0.1
 
     def test_sign_gauge_alignment(self):
         # a global sign flip is gauge, not sign mixing
-        row = evaluate_against_reference(self.op, -self.ref.X, self.ref,
-                                         "m", 0.0, True)
+        rep = dataclasses.replace(self.ref, X=-self.ref.X)
+        row = evaluate_against_reference(rep, self.ref, "m", 0.0)
         assert row.neg_count == 0
         assert row.relerr <= 1e-12
 
     def test_genuine_negatives_counted(self):
         X = self.ref.X.copy()
         X[0, 1] = -X[0, 1]
-        row = evaluate_against_reference(self.op, X, self.ref, "m", 0.0, False)
-        assert row.neg_count == 1
-        assert row.converged == 0.0
+        for sign in (1.0, -1.0):
+            rep = self.report(sign * X)
+            row = evaluate_against_reference(rep, self.ref, "m", 0.0)
+            assert row.neg_count == 1
+            assert row.converged == 0.0
+            assert row.residual == rep.residual
+            assert row.lambda_err == abs(rep.eigenvalue - self.ref.eigenvalue)
 
 
 class TestAggregate:
@@ -331,6 +334,69 @@ class TestRunExperiment:
                                         seed=1, trials=2, block_style="trap"))
         assert calls == {"nmf": 2, "truncated_svd": 2}
 
+    def test_rows_read_the_solve_reports(self, monkeypatch):
+        # every row but power's is built from the one report bench.solve
+        # returned for it; the power row is the reference's own report
+        power_reference, solve = bench.power_reference, bench.solve
+        refs, reports = [], []
+
+        def reference(*args, **kwargs):
+            refs.append(power_reference(*args, **kwargs))
+            return refs[-1]
+
+        def recorded(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(bench, "power_reference", reference)
+        monkeypatch.setattr(bench, "solve", recorded)
+        cfg = ExperimentConfig(kind="block-grid", n=6, rank=2, seed=1,
+                               trials=2, block_style="trap")
+        per_trial = run_experiment(cfg)
+        assert len(refs) == cfg.trials
+        assert len(reports) == 4 * cfg.trials
+        for k, (ref, rows) in enumerate(zip(refs, per_trial)):
+            reps = {r.method: r for r in reports[4 * k:4 * k + 4]}
+            reps["power"] = ref
+            assert [row.method for row in rows] == list(KNOWN_METHODS)
+            for row in rows:
+                rep = reps[row.method]
+                assert row.residual == rep.residual
+                assert row.converged == float(rep.converged)
+                assert row.lambda_err == abs(rep.eigenvalue - ref.eigenvalue)
+            assert rows[0].relerr == rows[0].lambda_err == 0.0
+
+    def test_solve_power_is_the_reference_report(self, monkeypatch):
+        # the reference's own report, renamed: no application besides the
+        # reference's own
+        op = HadamardGrowthOperator.standard(9)
+        apply, calls = op.apply_full, []
+
+        def counted(X):
+            calls.append(X)
+            return apply(X)
+
+        monkeypatch.setattr(op, "apply_full", counted)
+        rep = bench.solve(op, "power", 1)
+        assert rep.method == "power"
+        assert len(calls) == rep.iterations
+
+    @pytest.mark.parametrize("method", ["power+svd", "power+nmf"])
+    def test_compression_of_a_given_reference(self, monkeypatch, method):
+        # a compression handed the reference runs none, and makes what the
+        # cold solve at the same tolerance makes
+        op = generate_block_grid((1,) * 6, style="trap", seed=1)
+        cold = bench.solve(op, method, 2, seed=3, tol=1e-11)
+        ref = krylov_reference(op, tol=1e-11)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(bench, "power_reference", unreachable)
+        warm = bench.solve(op, method, 2, seed=3, init=ref)
+        assert np.array_equal(warm.X, cold.X)
+        assert warm.details == cold.details
+
     def test_power_nmf_not_converged_when_fit_hits_budget(self, monkeypatch):
         # power+nmf converges only if the reference did and the HALS fit
         # stopped on its own; power+svd keeps the reference's flag
@@ -415,6 +481,25 @@ class TestCLI:
         assert details["thick_restarts"] >= 1
         assert (details["thick_restarts"] + details["explicit_restarts"]
                 == details["restarts"])
+
+    @pytest.mark.parametrize("method,keys", [
+        ("power+svd", ("U", "S", "V")), ("power+nmf", ("U", "V"))])
+    def test_solve_compression_json_carries_its_factors(self, tmp_path,
+                                                        method, keys):
+        # the factorization as computed: its normalized product is X
+        path = tmp_path / "op.json"
+        save_operator(HadamardGrowthOperator.standard(9), path)
+        rep = tmp_path / "report.json"
+        assert main(["solve", str(path), "--method", method, "--rank", "2",
+                     "--out", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert set(keys) <= set(payload)
+        factors = [np.array(payload[k]) for k in keys]
+        factors[-1] = factors[-1].T
+        product = np.linalg.multi_dot(factors)
+        np.testing.assert_allclose(product / np.linalg.norm(product),
+                                   np.array(payload["X"]), rtol=0,
+                                   atol=1e-12)
 
     def test_solve_runs_the_bench_dispatch(self, tmp_path, monkeypatch):
         # nneig solve reaches every method through the names the bench

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nneig.bench import ExperimentConfig, _vertex_init, build_operator
-from nneig.lowrank import best_scaled_error, nmf
+from nneig.bench import ExperimentConfig, _vertex_init, build_operator, solve
+from nneig.lowrank import best_scaled_error
 from nneig.markovgrid import (
     demo_clustered_walk,
     demo_path_walk,
@@ -274,8 +274,8 @@ def block_grid_warm_solve():
                            delta=0.2, block_style="trap")
     op = build_operator(cfg, cfg.seed)
     ref = krylov_reference(op, tol=cfg.power_tol)
-    Xpos = np.maximum(ref.X, 0.0)
-    pair = _vertex_init(Xpos, nmf(Xpos, cfg.rank, seed=cfg.seed))
+    fit = solve(op, "power+nmf", cfg.rank, seed=cfg.seed, init=ref)
+    pair = _vertex_init(np.maximum(ref.X, 0.0), fit.factors)
     return rneg_solve(op, cfg.rank, seed=cfg.seed, init=pair)
 
 
