@@ -239,7 +239,8 @@ def solve(op: LinearMatrixOperator, method: str, rank: int, *,
     without ``init`` it runs the reference first and is timed from the
     reference's start.  It reports on the normalized product of the
     factorization it made, and ``power+nmf`` adds its fit's ``fit_stop``
-    and ``fit_sweeps``.
+    and ``fit_sweeps``; it is converged unless either ran out of budget
+    (a ``"fixed_point"`` fit is at the error its sweeps can attain).
     """
     if method not in KNOWN_METHODS:
         raise ValueError(f"unknown method {method!r}")

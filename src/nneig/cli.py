@@ -113,12 +113,12 @@ def _validate(args) -> int:
     op = load_operator(args.operator)
     if not isinstance(op, MarkovGridOperator):
         raise ValueError("validation applies to grid operators only")
-    report = validate_grid(op)
-    if report.ok:
+    failures = validate_grid(op)
+    if not failures:
         print("PASS: valid probabilistic grid")
         return EXIT_OK
-    print(f"FAIL: {len(report.failures)} problem(s)")
-    for f in report.failures:
+    print(f"FAIL: {len(failures)} problem(s)")
+    for f in failures:
         print(f"  - {f}")
     return EXIT_CONFIG
 

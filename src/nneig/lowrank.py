@@ -30,7 +30,8 @@ class NMFResult:
     sweeps run (discarded ones included), and why the sweeps ended:
     ``stop`` is ``"floor"`` when the error reached the roundoff floor,
     ``"stationary"`` when the stationarity test fired (or the input is
-    zero) and ``"budget"`` when the sweep budget ran out first."""
+    zero), ``"fixed_point"`` when every later sweep would repeat a
+    discarded one and ``"budget"`` when the sweep budget ran out first."""
 
     W: np.ndarray
     H: np.ndarray
@@ -145,7 +146,10 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     gradient keeps exact fits going: on an exactly factorable ``M`` the
     gradient shrinks with ``R`` and cannot pass the test below its own
     roundoff, which is what the floor test is for, while a fit with a
-    nonzero optimal residual stops once its gradient vanishes.  ``stop``
+    nonzero optimal residual stops once its gradient vanishes.  The first
+    sweep, and each after a discard, starts from the accepted pair itself;
+    discarded too, it would repeat bit for bit, so ``stop`` is then
+    ``"fixed_point"``, with the factors of any longer budget.  ``stop``
     is ``"budget"`` when the sweep budget ran out first.
 
     Parameters
@@ -200,13 +204,15 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
     beta, cap = NMF_BETA0, 1.0
     # the extrapolated pair the next sweep starts from and updates in place
     We, He = W.copy(), H.copy()
-    accepted = False
+    # discarded sweeps in a row, from 1: the first sweep starts from the
+    # initial pair as one after a discard does from the accepted pair
+    discards = 1
     sweeps, stop = n_iters, "budget"
     for sweep in range(n_iters):
         # the stop tests see the accepted pair, which a discarded sweep
         # leaves as it was tested.  The gradient in H reuses WWt and WM,
         # which the last accepted sweep took at its W
-        if accepted:
+        if not discards:
             if err <= floor:
                 sweeps, stop = sweep, "floor"
                 break
@@ -214,21 +220,25 @@ def nmf(M, r: int, n_iters: int = 500, seed: int = 0) -> NMFResult:
                            WWt.dot(H) - WM, err):
                 sweeps, stop = sweep, "stationary"
                 break
+        elif discards == 2:
+            sweeps, stop = sweep, "fixed_point"
+            break
         _hals_rows(We, He.dot(He.T), He.dot(Mt))
         WWt = We.dot(We.T)
         WM = We.dot(M)
         _hals_rows(He, WWt, WM)
         err_new = float(np.linalg.norm(We.T.dot(He) - M))
-        accepted = err_new <= err
-        if accepted:
+        if err_new <= err:
             W, We = We, np.maximum(We + beta * (We - W), 0.0)
             H, He = He, np.maximum(He + beta * (He - H), 0.0)
             err = err_new
             beta = min(cap, beta * NMF_BETA_GROW)
             cap *= NMF_CAP_GROW
+            discards = 0
         else:
             We, He = W.copy(), H.copy()
             beta /= NMF_BETA_SHRINK
+            discards += 1
     return NMFResult(np.ascontiguousarray(W.T), H, sweeps, stop)
 
 

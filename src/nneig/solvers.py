@@ -73,8 +73,9 @@ class EigenReport:
     ``h`` (psi), and ``h0``, ``grad`` (the final projected-gradient norm),
     ``rejected``, ``capped``, ``h_min``, ``h_max`` (rneg), and
     ``fit_stop``, ``fit_sweeps`` (the HALS fit of ``nneig solve --method
-    power+nmf``, whose ``stop`` reads ``"budget"`` also when the fit ran
-    out of sweeps).
+    power+nmf``: ``fit_stop`` is ``"floor"``, ``"stationary"``,
+    ``"fixed_point"`` or ``"budget"``, and the method's ``stop`` reads
+    ``"budget"`` also when the fit ran out of sweeps).
     """
 
     method: str
@@ -382,16 +383,24 @@ def krylov_reference(op: LinearMatrixOperator, tol: float = 1e-8,
         "explicit_restarts": explicit, "breakdown": breakdown}, Y=Y)
 
 
-def _grams(W: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Grams ``(U^T U, V^T V)`` of the stacked factors ``W = [U; V]``."""
-    U, V = W[:m], W[m:]
-    return U.T.dot(U), V.T.dot(V)
+def _start(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """rneg's stacked start ``[U; V]``, balanced by exact powers of two.
 
-
-# below this ||U V^T||^2 a factor's Gram may be subnormal (or zero) and
-# lose its relative precision; far below anything a normalized rneg iterate
-# reaches
-TINY_PRODUCT = 2.0 ** -900
+    Each column pair goes to ``(u 2^-d, v 2^d)``, ``d = (eu - ev) // 2``
+    for the ``frexp`` exponents of its largest entries: the same product
+    bit for bit (short of underflow), and the same pairs from any
+    power-of-two gauge of them.  One more power of two, which
+    :func:`_normalize` cancels, puts their largest entry in ``[0.5, 1)``;
+    a column paired with a zero one goes there on its own.
+    """
+    mu, mv = U.max(axis=0), V.max(axis=0)
+    eu, ev = np.frexp(mu)[1], np.frexp(mv)[1]
+    d = (eu - ev) // 2
+    live = (mu > 0) & (mv > 0)
+    top = np.maximum(np.ldexp(mu, -d), np.ldexp(mv, d))[live]
+    e = np.frexp(top.max(initial=0.0))[1]
+    return np.concatenate((np.ldexp(U, np.where(live, -d - e, -eu)),
+                           np.ldexp(V, np.where(live, d - e, -ev))))
 
 
 def _normalize(W: np.ndarray,
@@ -400,31 +409,13 @@ def _normalize(W: np.ndarray,
     has unit Frobenius norm.  Returns the Grams ``(U^T U, V^T V)`` of the
     scaled factors, or None for a zero product.
 
-    The norm comes from the Grams, ``||U V^T||^2 = <U^T U, V^T V>``.  When
-    it is below ``TINY_PRODUCT``, a Gram may hold subnormal entries, so the
-    norm is taken again from the factors each scaled to a largest entry in
-    ``[0.5, 1)`` by an exact power of two, and the Grams are formed after
-    the scaling.  Inputs in the normal range never take that branch.  It
-    does not catch factors so unbalanced that one Gram is subnormal while
-    the product is not (one factor near 1e-158, the other above 1e23);
-    rneg scales both factors alike and never makes them.
+    The norm comes from the Grams, ``||U V^T||^2 = <U^T U, V^T V>``,
+    accurate for rneg's balanced start (:func:`_start`) and for its trial
+    steps, which would have to shrink a unit product below ``2^-450``.
     """
-    GU, GV = _grams(W, m)
+    U, V = W[:m], W[m:]
+    GU, GV = U.T.dot(U), V.T.dot(V)
     g = float(np.vdot(GU, GV))  # ||U V^T||^2
-    if g < TINY_PRODUCT:
-        U, V = W[:m], W[m:]
-        eu = math.frexp(float(np.abs(U).max()))[1]
-        ev = math.frexp(float(np.abs(V).max()))[1]
-        g = float(np.vdot(*_grams(np.concatenate((np.ldexp(U, -eu),
-                                                  np.ldexp(V, -ev))), m)))
-        if g <= 0.0:
-            return None
-        # divide W by sqrt(||U V^T||) = g^(1/4) 2^((eu + ev) / 2), the
-        # power of two exactly and first, so no step leaves the range
-        k = eu + ev
-        np.ldexp(W, -(k // 2), out=W)
-        W /= g ** 0.25 * (math.sqrt(2.0) if k % 2 else 1.0)
-        return _grams(W, m)
     if g <= 0.0:
         return None
     c = math.sqrt(g)  # the square of the scale W is divided by
@@ -528,7 +519,13 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
     sign-constrained eigenvalue flow on the factors (RNeg).
 
     The iterate is ``X = U @ V.T`` with entrywise-nonnegative factors on
-    the unit Frobenius sphere.  Each step pushes both factors along the
+    the unit Frobenius sphere.  The start (``init`` or cold) is balanced
+    first by :func:`_start`: the flow keeps the imbalance ``U^T U - V^T V``
+    of its factors (Du, Hu & Lee, NeurIPS 2018), and an unbalanced gauge
+    ``(U D, V / D)`` of the same ``X`` stalled or ran out its budget.  A
+    power-of-two ``D`` gives a bit-identical report; one-hot warm starts,
+    and cold ones whose column maxima lie in ``[0.5, 1)``, solve as
+    before.  Each step pushes both factors along the
     feasible projection of the flow gradients, clips at zero, and
     renormalizes; zero entries of a factor can therefore only re-activate
     through a positive gradient.  The step is capped by the largest
@@ -634,7 +631,7 @@ def rneg_solve(op: LinearMatrixOperator, rank: int, h0: float | None = None,
         U, V = init.U, init.V
     # the factors live stacked, W = [U; V], so every entrywise operation
     # of a step runs once over both
-    W = np.concatenate((U, V))
+    W = _start(U, V)
     grams = _normalize(W, m)
     if grams is None:
         raise ValueError("initial factors have zero product")

@@ -155,7 +155,7 @@ def _shipped_config(kind):
 def test_criterion_06_random_grid_benchmark():
     """Random-grid experiment, n=100, rank 3, 10 trials: constrained-solver
     median RelErr <= 1e-3 with zero negatives everywhere, SVD baseline
-    RelErr <= 1e-10, under 10 min."""
+    RelErr <= 1e-10, every NMF baseline fit converged, under 10 min."""
     cfg = _shipped_config("random-grid")
     t0 = time.perf_counter()
     per_trial = run_experiment(cfg)
@@ -166,11 +166,12 @@ def test_criterion_06_random_grid_benchmark():
         rneg_errs.append(r["rneg"].relerr)
         assert r["rneg"].neg_count == 0
         assert r["power+svd"].relerr <= 1e-10
+        assert r["power+nmf"].converged == 1.0
     med = float(np.median(rneg_errs))
     assert med <= 1e-3
     assert dt < 600.0
     print(f"CRITERION 6 PASS: median RelErr {med:.2e}, svd RelErr <= 1e-10, "
-          f"no negatives, {dt:.0f} s")
+          f"nmf converged, no negatives, {dt:.0f} s")
 
 
 def test_criterion_07_block_grid_benchmark():

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nneig.bench import ExperimentConfig, build_operator
-from nneig.lowrank import NMFResult, SVDTriple, best_scaled_error, nmf, truncated_svd
+from nneig.lowrank import (
+    NMFResult,
+    SVDTriple,
+    _hals_rows,
+    best_scaled_error,
+    nmf,
+    truncated_svd,
+)
 from nneig.markovgrid import demo_clustered_walk
 from nneig.solvers import krylov_reference
 
@@ -224,6 +231,30 @@ class TestNMF:
         res = nmf(np.maximum(ref.X, 0.0), cfg.rank, seed=seed)
         assert res.stop == stop
         assert 1 <= res.sweeps < 500
+
+    @pytest.mark.parametrize("trial, sweeps", [(4, 111), (6, 89), (7, 73)])
+    def test_repeating_fit_stops_at_the_repeat(self, trial, sweeps):
+        # these random-grid fits level off above the roundoff floor.  Their
+        # sweep number `sweeps` starts from the accepted pair itself and is
+        # discarded, so every later sweep would repeat it: a 500-sweep run
+        # went on to its budget with these same factors
+        cfg = ExperimentConfig.from_json(
+            (ROOT / "configs" / "random-grid.json").read_text())
+        seed = cfg.seed + trial
+        ref = krylov_reference(build_operator(cfg, seed), tol=cfg.power_tol)
+        M = np.maximum(ref.X, 0.0)
+        res = nmf(M, cfg.rank, seed=seed)
+        assert (res.stop, res.sweeps) == ("fixed_point", sweeps)
+        again = nmf(M, cfg.rank, n_iters=sweeps, seed=seed)
+        assert again.stop == "budget"
+        assert np.array_equal(res.W, again.W)
+        assert np.array_equal(res.H, again.H)
+        # one more sweep from the returned pair raises the error again
+        Wt, H = np.ascontiguousarray(res.W.T), res.H.copy()
+        err = np.linalg.norm(Wt.T.dot(H) - M)
+        _hals_rows(Wt, H.dot(H.T), H.dot(M.T))
+        _hals_rows(H, Wt.dot(Wt.T), Wt.dot(M))
+        assert np.linalg.norm(Wt.T.dot(H) - M) > err
 
     def test_floor_stop_on_exact_product(self):
         # an exact nonnegative rank-3 product reaches the roundoff floor,

@@ -39,6 +39,7 @@ from nneig.solvers import (
     _crossing_ratios,
     _narrow_form,
     _normalize,
+    _start,
     _step_distance,
     _trial_step,
     krylov_reference,
@@ -458,31 +459,44 @@ class TestRNeg:
     # V's Gram is subnormal here; formed from V itself, the returned Gram
     # was off by 6.5e-12 relative
     @example(np.ones((4, 2)), np.full((3, 2), 2.67e-157))
-    # scaled, V passes 1e154 and its Gram overflows: whole, and beside
-    # finite entries that must still match
+    # scaled alike, V passes 1e154 and its Gram overflows: whole, and
+    # beside finite entries
     @example(np.full((4, 2), 5e-324), np.full((3, 2), 5.0))
     @example(np.full((4, 2), 5e-324), np.array([[5.0, 1e-160]] * 3))
+    # one Gram subnormal while the product is normal: scaled alike, the
+    # returned Gram of U was off
+    @example(np.full((4, 2), 1e-158), np.full((3, 2), 2e23))
+    # the largest entry sits in a column paired with a zero one: scaled
+    # along with the others, the live pair's Grams underflowed to zero
+    @example(np.array([[3.0, 1.0]] + [[1.0, 1.0]] * 3),
+             np.array([[5e-324, 0.0]] + [[0.0, 0.0]] * 2))
     def test_normalize_gram_norm_matches_dense(self, U, V):
-        # rneg scales its factors by the norm of U V^T taken through the
-        # Gram matrices, without forming U V^T
-        W = np.concatenate((U, V))
-        gram = 0.0
-        # a scaled factor past 1e154 overflows its Gram, and one that is
-        # as large against a tiny original overflows the ratio below
-        with np.errstate(over="ignore"):
+        # rneg balances its start, then scales its factors by the norm of
+        # U V^T taken through the Gram matrices, without forming U V^T
+        W = _start(U, V)
+        U0, V0 = W[:4].copy(), W[4:].copy()
+        P = U0 @ V0.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             grams = _normalize(W, 4)
-            if grams is not None:
-                gram = (W.max() / max(U.max(), V.max())) ** -2
-                # the Grams it returns are those of the scaled factors:
-                # infinite where those overflow, and equal to them elsewhere
-                for G, F in zip(grams, (W[:4], W[4:])):
-                    D = F.T @ F
-                    finite = np.isfinite(D)
-                    np.testing.assert_array_equal(np.isfinite(G), finite)
-                    np.testing.assert_allclose(
-                        G[finite], D[finite], rtol=1e-14,
-                        atol=1e-14 * np.abs(G[finite]).max(initial=0.0))
-        assert gram == pytest.approx(np.linalg.norm(U @ V.T), abs=1e-9)
+        if not P.any():
+            assert grams is None
+            return
+        # the Grams it returns are those of the scaled factors
+        for G, F in zip(grams, (W[:4], W[4:])):
+            D = F.T @ F
+            np.testing.assert_allclose(G, D, rtol=1e-14,
+                                       atol=1e-14 * np.abs(D).max())
+        # and the product is the balanced start's, of unit norm, which is
+        # U V^T's wherever that is representable
+        np.testing.assert_allclose(W[:4] @ W[4:].T, P / np.linalg.norm(P),
+                                   rtol=1e-14, atol=1e-15)
+        X = U @ V.T
+        if 1e-290 < X.max() < np.inf:
+            X /= X.max()  # else a square under 1e-154 loses its bits
+            np.testing.assert_allclose(P / np.linalg.norm(P),
+                                       X / np.linalg.norm(X),
+                                       rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("h0", [np.inf, np.nan])
     def test_non_finite_step_rejected(self, h0):
@@ -566,6 +580,40 @@ class TestRNeg:
         cut = rneg_solve(growth, rank=3, seed=0, nmax=50)
         assert cut.details["stop"] == "budget"
         assert cut.details["grad"] > 1e-8 / growth.default_step()
+
+
+    @pytest.mark.parametrize("rank,D", [
+        (1, 2.0 ** 100),
+        (2, np.array([2.0 ** 6, 2.0 ** -9])),
+    ], ids=["global", "per-column"])
+    def test_power_of_two_gauge_gives_the_same_solve(self, rank, D):
+        # (U D, V / D) is the same product; balanced at the start, it is
+        # the same solve.  Column 0 of U is halved so that its pair starts
+        # with exponents one apart the other way
+        op = generate_random_grid(8, family="shared-pair", seed=17)
+        rng = np.random.default_rng(0)
+        U = rng.random((8, rank))
+        V = rng.random((8, rank))
+        U[:, 0] *= 0.5
+        base = rneg_solve(op, rank, init=FactorPair(U, V))
+        rep = rneg_solve(op, rank, init=FactorPair(U * D, V / D))
+        np.testing.assert_array_equal(rep.X, base.X)
+        np.testing.assert_array_equal(rep.factors.U, base.factors.U)
+        np.testing.assert_array_equal(rep.factors.V, base.factors.V)
+        assert (rep.eigenvalue, rep.iterations) == (base.eigenvalue,
+                                                   base.iterations)
+        assert rep.details == base.details
+
+    def test_unbalanced_start_converges(self):
+        # unbalanced by 1e3, this start ran out its 50,000 steps 0.29 off
+        # the eigenvalue of the balanced one
+        op = generate_random_grid(8, family="shared-pair", seed=17)
+        rng = np.random.default_rng(0)
+        U, V = rng.random((8, 1)), rng.random((8, 1))
+        base = rneg_solve(op, 1, init=FactorPair(U, V))
+        rep = rneg_solve(op, 1, init=FactorPair(U * 1e3, V / 1e3))
+        assert base.converged and rep.converged
+        assert rep.eigenvalue == pytest.approx(base.eigenvalue, abs=1e-8)
 
 
 class TestPSI:
