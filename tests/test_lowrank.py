@@ -232,20 +232,21 @@ class TestNMF:
         assert res.stop == stop
         assert 1 <= res.sweeps < 500
 
-    @pytest.mark.parametrize("trial, sweeps", [(4, 111), (6, 89), (7, 73)])
-    def test_repeating_fit_stops_at_the_repeat(self, trial, sweeps):
+    @pytest.mark.parametrize("trial", [4, 6, 7])
+    def test_repeating_fit_stops_at_the_repeat(self, trial):
         # these random-grid fits level off above the roundoff floor.  Their
-        # sweep number `sweeps` starts from the accepted pair itself and is
-        # discarded, so every later sweep would repeat it: a 500-sweep run
-        # went on to its budget with these same factors
+        # last sweep starts from the accepted pair itself and is discarded,
+        # so every later sweep would repeat it.  Where that happens moves
+        # with the BLAS thread count (trial 4 stops after 111 sweeps on one
+        # thread, 107 on two), so the count is not pinned
         cfg = ExperimentConfig.from_json(
             (ROOT / "configs" / "random-grid.json").read_text())
         seed = cfg.seed + trial
         ref = krylov_reference(build_operator(cfg, seed), tol=cfg.power_tol)
         M = np.maximum(ref.X, 0.0)
         res = nmf(M, cfg.rank, seed=seed)
-        assert (res.stop, res.sweeps) == ("fixed_point", sweeps)
-        again = nmf(M, cfg.rank, n_iters=sweeps, seed=seed)
+        assert res.stop == "fixed_point" and 1 <= res.sweeps < 500
+        again = nmf(M, cfg.rank, n_iters=res.sweeps, seed=seed)
         assert again.stop == "budget"
         assert np.array_equal(res.W, again.W)
         assert np.array_equal(res.H, again.H)
